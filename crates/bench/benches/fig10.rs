@@ -7,27 +7,24 @@
 //! average (the paper's headline "2% to 25%, and 13% on average").
 
 use tp_bench::paper;
-use tp_bench::runner::{run_model, run_selection};
-use tp_core::CiModel;
+use tp_bench::sweep::{all_cores, run_cell, run_grid, Cell, CellConfig};
 use tp_stats::{improvement_pct, mean, Table};
-use tp_trace::SelectionConfig;
 use tp_workloads::{suite, Size};
 
 fn main() {
-    let models = [CiModel::Ret, CiModel::MlbRet, CiModel::Fg, CiModel::FgMlbRet];
+    let models = CellConfig::MODELS;
     let mut table =
         Table::new("% IPC over base", &["RET", "MLB-RET", "FG", "FG+MLB-RET", "paper(FG+MLB)"]);
     table.precision(1);
     let mut best = Vec::new();
     let mut fg_mlb = Vec::new();
     println!("Figure 10: % IPC improvement over base (paper: Rotenberg & Smith 1999)\n");
-    for w in suite(Size::Full) {
-        let base = run_selection(&w.program, SelectionConfig::base()).stats.ipc();
-        let mut row = Vec::new();
-        for model in models {
-            let ipc = run_model(&w.program, model).stats.ipc();
-            row.push(improvement_pct(ipc, base));
-        }
+    let workloads = suite(Size::Full);
+    let runs = run_grid(&Cell::grid(&workloads, &models, &[16]), all_cores(), run_cell);
+    for (w, cells) in workloads.iter().zip(runs.chunks(models.len())) {
+        let base = cells[0].stats.ipc();
+        let mut row: Vec<f64> =
+            cells[1..].iter().map(|c| improvement_pct(c.stats.ipc(), base)).collect();
         let paper_row = paper::lookup(&paper::FIG10_IMPROVEMENT, w.name).expect("known benchmark");
         best.push(row.iter().copied().fold(f64::MIN, f64::max));
         fg_mlb.push(row[3]);

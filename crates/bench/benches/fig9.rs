@@ -5,31 +5,21 @@
 //! per benchmark — the cost of the selection constraints that expose
 //! control independence, before any CI mechanism is enabled.
 
-use tp_bench::runner::run_selection;
+use tp_bench::sweep::{all_cores, run_cell, run_grid, Cell, CellConfig};
 use tp_stats::{improvement_pct, Table};
-use tp_trace::SelectionConfig;
 use tp_workloads::{suite, Size};
 
 fn main() {
     println!("Figure 9: % IPC impact of trace selection over base (no CI)\n");
     let mut table = Table::new("% IPC over base", &["base(ntb)", "base(fg)", "base(fg,ntb)"]);
     table.precision(1);
-    for w in suite(Size::Full) {
-        let base = run_selection(&w.program, SelectionConfig::base()).stats.ipc();
-        let row = [
-            improvement_pct(
-                run_selection(&w.program, SelectionConfig::with_ntb()).stats.ipc(),
-                base,
-            ),
-            improvement_pct(
-                run_selection(&w.program, SelectionConfig::with_fg()).stats.ipc(),
-                base,
-            ),
-            improvement_pct(
-                run_selection(&w.program, SelectionConfig::with_fg_ntb()).stats.ipc(),
-                base,
-            ),
-        ];
+    let selections = &CellConfig::sweep()[..4];
+    let workloads = suite(Size::Full);
+    let runs = run_grid(&Cell::grid(&workloads, selections, &[16]), all_cores(), run_cell);
+    for (w, cells) in workloads.iter().zip(runs.chunks(selections.len())) {
+        let base = cells[0].stats.ipc();
+        let row: Vec<f64> =
+            cells[1..].iter().map(|c| improvement_pct(c.stats.ipc(), base)).collect();
         table.row(w.name, &row);
     }
     println!("{table}");

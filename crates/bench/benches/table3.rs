@@ -6,26 +6,22 @@
 //! Table 3 values, including the harmonic-mean row.
 
 use tp_bench::paper;
-use tp_bench::runner::run_selection;
+use tp_bench::sweep::{all_cores, run_cell, run_grid, Cell, CellConfig};
 use tp_stats::{harmonic_mean, Table};
-use tp_trace::SelectionConfig;
 use tp_workloads::{suite, Size};
 
 fn main() {
-    let selections = [
-        SelectionConfig::base(),
-        SelectionConfig::with_ntb(),
-        SelectionConfig::with_fg(),
-        SelectionConfig::with_fg_ntb(),
-    ];
+    let selections = &CellConfig::sweep()[..4];
     println!("Table 3: IPC without control independence\n");
     let mut table =
         Table::new("IPC", &["base", "b(ntb)", "b(fg)", "b(fg,ntb)", "paper:base", "paper:fg,ntb"]);
     let mut per_sel: Vec<Vec<f64>> = vec![Vec::new(); 4];
-    for w in suite(Size::Full) {
+    let workloads = suite(Size::Full);
+    let runs = run_grid(&Cell::grid(&workloads, selections, &[16]), all_cores(), run_cell);
+    for (w, cells) in workloads.iter().zip(runs.chunks(selections.len())) {
         let mut row = Vec::new();
-        for (i, sel) in selections.iter().enumerate() {
-            let ipc = run_selection(&w.program, *sel).stats.ipc();
+        for (i, c) in cells.iter().enumerate() {
+            let ipc = c.stats.ipc();
             per_sel[i].push(ipc);
             row.push(ipc);
         }

@@ -8,30 +8,26 @@
 //! Table 4.
 
 use tp_bench::paper;
-use tp_bench::runner::run_selection;
+use tp_bench::sweep::{all_cores, run_cell, run_grid, Cell, CellConfig};
 use tp_stats::Table;
-use tp_trace::SelectionConfig;
 use tp_workloads::{suite, Size};
 
 fn main() {
-    let selections = [
-        ("base", SelectionConfig::base()),
-        ("base(ntb)", SelectionConfig::with_ntb()),
-        ("base(fg)", SelectionConfig::with_fg()),
-        ("base(fg,ntb)", SelectionConfig::with_fg_ntb()),
-    ];
+    let selections = &CellConfig::sweep()[..4];
+    let workloads = suite(Size::Full);
+    let runs = run_grid(&Cell::grid(&workloads, selections, &[16]), all_cores(), run_cell);
     println!("Table 4: impact of trace selection (no control independence)\n");
-    for (name, sel) in selections {
-        println!("--- {name} ---");
+    for (i, sel) in selections.iter().enumerate() {
+        println!("--- {} ---", sel.name());
         let mut table = Table::new(
             "bench",
             &["trace len", "tr misp/1k", "tr misp %", "tc$ miss/1k", "tc$ miss %"],
         );
         table.precision(1);
-        for w in suite(Size::Full) {
-            let s = run_selection(&w.program, sel).stats;
+        for c in runs.iter().skip(i).step_by(selections.len()) {
+            let s = &c.stats;
             table.row(
-                w.name,
+                c.workload,
                 &[
                     s.avg_trace_len(),
                     s.trace_misp_per_kilo(),

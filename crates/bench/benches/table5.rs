@@ -6,8 +6,9 @@
 //! backward — with the region-size metrics the paper reports. Also prints
 //! Table 2-style dynamic instruction counts.
 
+use tp_bench::paper;
 use tp_bench::profile::{profile_branches, BranchClass};
-use tp_bench::{paper, runner};
+use tp_bench::speed::CELL_BUDGET;
 use tp_stats::Table;
 use tp_workloads::{suite, Size};
 
@@ -17,7 +18,7 @@ fn main() {
     t2.precision(0);
     let workloads = suite(Size::Full);
     for w in &workloads {
-        let p = profile_branches(&w.program, runner::RUN_BUDGET);
+        let p = profile_branches(&w.program, CELL_BUDGET);
         t2.row(w.name, &[p.instructions as f64]);
     }
     println!("{t2}");
@@ -32,7 +33,7 @@ fn main() {
     );
     table.precision(1);
     for w in &workloads {
-        let p = profile_branches(&w.program, runner::RUN_BUDGET);
+        let p = profile_branches(&w.program, CELL_BUDGET);
         table.row(
             w.name,
             &[

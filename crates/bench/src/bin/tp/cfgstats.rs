@@ -1,42 +1,32 @@
-//! Static control-independence opportunity report, per workload.
+//! `tp cfgstats`: the static control-independence opportunity report,
+//! per workload.
 //!
-//! Usage: `cfgstats [WORKLOAD] [--json]` — without a workload, prints a
-//! one-line static summary for every workload of both suites (plus any
-//! lint findings); with one, prints its full branch table. `--json`
-//! switches to a machine-readable `tp-bench/cfgstats/v1` document (an
-//! array when no workload is named).
+//! Without `--workload`, prints a one-line static summary for every
+//! workload of both suites (plus any lint findings); with one, prints its
+//! full branch table. `--json` switches to a machine-readable
+//! `tp-bench/cfgstats/v1` document (an array when no workload is named).
 //!
 //! Everything here is computed by `tp-cfg` from the decoded program
 //! alone — no simulation. The report is the *static ceiling* on what the
 //! simulator's CGCI/FGCI heuristics can exploit dynamically; compare
-//! against `cistats` for what they actually achieve.
+//! against `tp cistats` for what they actually achieve.
 //!
 //! Exit status is non-zero iff any reported workload has lint findings,
 //! so CI can run the text report as a corpus health check.
 
+use tp_bench::cli::{workload, Args, CellSpec, UsageError, WORKLOAD};
 use tp_cfg::{BranchKind, CfgAnalysis, CfgReport};
 use tp_workloads::{Size, Workload};
 
-fn main() {
-    let mut positional = Vec::new();
-    let mut json = false;
-    for a in std::env::args().skip(1) {
-        match a.as_str() {
-            "--json" => json = true,
-            _ => positional.push(a),
-        }
-    }
-    let workloads: Vec<Workload> = match positional.first() {
-        Some(name) => match tp_workloads::by_name(name, Size::Full) {
-            Ok(w) => vec![w],
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        },
-        None => tp_workloads::all_workloads(Size::Full),
+pub fn main(mut args: Args) -> Result<(), UsageError> {
+    let spec = CellSpec::take(&mut args, &[WORKLOAD], Size::Full)?;
+    let json = args.flag("--json");
+    args.finish(0)?;
+    let single = spec.workload.is_some();
+    let workloads: Vec<Workload> = match &spec.workload {
+        Some(name) => vec![workload(name, spec.size)?],
+        None => tp_workloads::all_workloads(spec.size),
     };
-    let single = !positional.is_empty();
 
     if json {
         let docs: Vec<String> = workloads.iter().map(report_json).collect();
@@ -45,7 +35,7 @@ fn main() {
         } else {
             println!("[\n{}\n]", docs.join(",\n"));
         }
-        return;
+        return Ok(());
     }
 
     let mut findings = 0usize;
@@ -101,6 +91,7 @@ fn main() {
     if findings > 0 {
         std::process::exit(1);
     }
+    Ok(())
 }
 
 /// Sorted re-convergence distances (absolute) over branches that have one.

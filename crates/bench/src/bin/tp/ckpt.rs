@@ -1,12 +1,5 @@
-//! Checkpoint tool: create, inspect, and verify checkpoint files, plus the
-//! CI smoke that validates the whole sampled pipeline.
-//!
-//! ```text
-//! ckpt create  --workload NAME [--size S] [--model M] [--ffwd N] --out PATH
-//! ckpt inspect PATH
-//! ckpt verify  PATH [--resume N]
-//! ckpt smoke   [--out PATH]
-//! ```
+//! `tp ckpt`: create, inspect, and verify checkpoint files, plus the CI
+//! smoke that validates the whole sampled pipeline.
 //!
 //! `verify` identifies the source program by fingerprint (searching the
 //! workload suite across sizes), then proves the checkpoint resumes
@@ -25,9 +18,11 @@
 //! wall-clock speedup of sampled execution on the long gcc/go/compress
 //! variants.
 
+use tp_bench::cli::{workload, Args, CellSpec, UsageError, MODEL, OUT, SIZE, WORKLOAD};
 use tp_bench::ffwd::{run_ffwd_bench, speedup_geomean};
 use tp_bench::sampled::{cross_check, run_sampled, SampleConfig};
-use tp_bench::speed::{parse_size, size_name};
+use tp_bench::speed::size_name;
+use tp_bench::sweep::CellConfig;
 use tp_ckpt::{Checkpoint, FastForward};
 use tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
 use tp_isa::func::Machine;
@@ -35,89 +30,50 @@ use tp_isa::Frontend;
 use tp_isa::Program;
 use tp_workloads::{all_workloads, Size, Workload};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: ckpt create --workload NAME [--size tiny|small|full|long] \
-         [--model base|RET|MLB-RET|FG|FG+MLB-RET] [--ffwd N] --out PATH\n\
-         \x20      ckpt inspect PATH\n\
-         \x20      ckpt verify PATH [--resume N]\n\
-         \x20      ckpt smoke [--out PATH]"
-    );
-    std::process::exit(2);
-}
-
-/// Workload lookup with the registry's friendly unknown-name message.
-fn by_name(name: &str, size: Size) -> Workload {
-    tp_workloads::by_name(name, size).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    })
-}
-
-fn parse_model(s: &str) -> CiModel {
-    match s {
-        "base" => CiModel::None,
-        "RET" => CiModel::Ret,
-        "MLB-RET" => CiModel::MlbRet,
-        "FG" => CiModel::Fg,
-        "FG+MLB-RET" => CiModel::FgMlbRet,
-        other => {
-            eprintln!("unknown model {other:?} (base|RET|MLB-RET|FG|FG+MLB-RET)");
-            std::process::exit(2);
+pub fn main(mut args: Args) -> Result<(), UsageError> {
+    match args.verb().as_deref() {
+        Some("create") => {
+            let spec = CellSpec::take(&mut args, &[WORKLOAD, SIZE, MODEL, OUT], Size::Full)?;
+            let ffwd = args.parsed("--ffwd")?.unwrap_or(20_000);
+            args.finish(0)?;
+            let (Some(name), Some(out)) = (&spec.workload, &spec.out) else {
+                return Err(UsageError("create requires --workload and --out".into()));
+            };
+            let config = spec.config(CellConfig::Model(CiModel::None))?;
+            create(&workload(name, spec.size)?, spec.size, config, ffwd, out);
         }
-    }
-}
-
-/// Builds and validates the detailed configuration for a model, reporting
-/// the offending field on bad input instead of panicking.
-fn validated_config(model: CiModel) -> TraceProcessorConfig {
-    let cfg = TraceProcessorConfig::paper(model);
-    if let Err(e) = cfg.validate() {
-        eprintln!("invalid configuration: {e}");
-        std::process::exit(2);
-    }
-    cfg
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("create") => create(&args[1..]),
-        Some("inspect") => inspect(&args[1..]),
-        Some("verify") => verify(&args[1..]),
-        Some("smoke") => smoke(&args[1..]),
-        _ => usage(),
-    }
-}
-
-fn create(args: &[String]) {
-    let (mut workload, mut size, mut model) = (None, Size::Full, CiModel::None);
-    let (mut ffwd_budget, mut out) = (20_000u64, None);
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--workload" => workload = it.next().cloned(),
-            "--size" => size = it.next().and_then(|s| parse_size(s)).unwrap_or_else(|| usage()),
-            "--model" => model = parse_model(it.next().map_or("", String::as_str)),
-            "--ffwd" => {
-                ffwd_budget = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--out" => out = it.next().cloned(),
-            _ => usage(),
+        Some("inspect") => inspect(&path(args)?),
+        Some("verify") => {
+            let resume = args.parsed("--resume")?.unwrap_or(10_000);
+            verify(&path(args)?, resume);
         }
+        Some("smoke") => {
+            let spec = CellSpec::take(&mut args, &[OUT], Size::Full)?;
+            args.finish(0)?;
+            smoke(spec.out.as_deref().unwrap_or("ckpt_smoke.tpckpt"));
+        }
+        _ => return Err(UsageError("expected create|inspect|verify|smoke".into())),
     }
-    let (Some(workload), Some(out)) = (workload, out) else { usage() };
-    let w = by_name(&workload, size);
-    let cfg = validated_config(model);
+    Ok(())
+}
+
+/// The one positional argument: a checkpoint path.
+fn path(args: Args) -> Result<String, UsageError> {
+    args.finish(1)?.pop().ok_or_else(|| UsageError("missing checkpoint PATH".into()))
+}
+
+fn create(w: &Workload, size: Size, config: CellConfig, ffwd_budget: u64, out: &str) {
+    let cfg = config.config(16);
     let mut ff = FastForward::new(&w.program, &cfg);
     ff.set_frontend(w.frontend);
-    let s = ff.skip(ffwd_budget).unwrap_or_else(|e| panic!("{workload}: {e}"));
+    let s = ff.skip(ffwd_budget).unwrap_or_else(|e| panic!("{}: {e}", w.name));
     let ckpt = ff.checkpoint();
     let bytes = ckpt.encode();
-    std::fs::write(&out, &bytes).unwrap_or_else(|e| panic!("writing {out}: {e}"));
+    std::fs::write(out, &bytes).unwrap_or_else(|e| panic!("writing {out}: {e}"));
     println!(
-        "{out}: {} bytes; {workload}/{} ({}) {} after {} retired ({} traces{})",
+        "{out}: {} bytes; {}/{} ({}) {} after {} retired ({} traces{})",
         bytes.len(),
+        w.name,
         size_name(size),
         w.frontend,
         cfg.selection.name(),
@@ -127,7 +83,7 @@ fn create(args: &[String]) {
     );
 }
 
-fn read_checkpoint(path: &str) -> Checkpoint {
+pub(crate) fn read_checkpoint(path: &str) -> Checkpoint {
     let bytes = std::fs::read(path).unwrap_or_else(|e| {
         eprintln!("reading {path}: {e}");
         std::process::exit(1);
@@ -138,8 +94,7 @@ fn read_checkpoint(path: &str) -> Checkpoint {
     })
 }
 
-fn inspect(args: &[String]) {
-    let Some(path) = args.first() else { usage() };
+fn inspect(path: &str) {
     let ckpt = read_checkpoint(path);
     println!("program   : {} (fingerprint {:016x})", ckpt.program_name, ckpt.program_fingerprint);
     println!("frontend  : {}", ckpt.frontend);
@@ -176,11 +131,12 @@ fn inspect(args: &[String]) {
 }
 
 /// Finds the workload program a checkpoint was captured from by
-/// fingerprint search over both suites at every size. A fingerprint hit
+/// fingerprint search over both suites at every size (shared with
+/// `tp tracetap --ckpt`). A fingerprint hit
 /// is additionally frontend-checked; on a miss, a same-name workload in
 /// the *other* frontend's suite produces a named mismatch diagnosis
 /// instead of a bare "not found".
-fn find_program(ckpt: &Checkpoint) -> Result<(Program, Size, Frontend), String> {
+pub(crate) fn find_program(ckpt: &Checkpoint) -> Result<(Program, Size, Frontend), String> {
     let mut name_twin: Option<Frontend> = None;
     for size in [Size::Tiny, Size::Small, Size::Full, Size::Long] {
         for w in all_workloads(size) {
@@ -208,18 +164,7 @@ fn find_program(ckpt: &Checkpoint) -> Result<(Program, Size, Frontend), String> 
     }
 }
 
-fn verify(args: &[String]) {
-    let Some(path) = args.first() else { usage() };
-    let mut resume = 10_000u64;
-    let mut it = args[1..].iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--resume" => {
-                resume = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
-            }
-            _ => usage(),
-        }
-    }
+fn verify(path: &str, resume: u64) {
     let ckpt = read_checkpoint(path);
     let (program, size, frontend) = find_program(&ckpt).unwrap_or_else(|msg| {
         eprintln!("{path}: {msg}");
@@ -239,20 +184,14 @@ fn verify(args: &[String]) {
         resumed.retired() - ckpt.retired
     );
 
-    let warm_selection = ckpt.warm.as_ref().map(|w| w.selection);
-    let model = match warm_selection {
-        Some(sel) if sel.fg && sel.ntb => CiModel::FgMlbRet,
-        Some(sel) if sel.fg => CiModel::Fg,
-        Some(sel) if sel.ntb => CiModel::MlbRet,
-        _ => CiModel::None,
-    };
+    let model = warm_model(&ckpt);
 
     // 2. The interpreter and superblock fast-forward engines agree byte
     // for byte at this checkpoint's position (meaningful for warmed
     // checkpoints, where the capture includes the warm images the two
     // engines build along different code paths).
     if ckpt.warm.is_some() && !ckpt.halted {
-        let cfg = validated_config(model);
+        let cfg = TraceProcessorConfig::paper(model);
         let mut fast = FastForward::new(&program, &cfg);
         fast.set_frontend(frontend);
         fast.skip(ckpt.retired).expect("superblock fast-forward stays in program");
@@ -272,7 +211,7 @@ fn verify(args: &[String]) {
     }
 
     // 3. A detailed interval boots and runs under full oracle verification.
-    let cfg = validated_config(model).with_oracle();
+    let cfg = TraceProcessorConfig::paper(model).with_oracle();
     let boot = ckpt.boot_image(&program, &cfg).unwrap_or_else(|e| {
         eprintln!("{path}: boot failed: {e}");
         std::process::exit(1);
@@ -294,36 +233,19 @@ fn verify(args: &[String]) {
     println!("{path}: verified");
 }
 
-fn smoke(args: &[String]) {
-    let mut out = String::from("ckpt_smoke.tpckpt");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => out = it.next().cloned().unwrap_or_else(|| usage()),
-            _ => usage(),
-        }
-    }
+fn smoke(out: &str) {
     // 1. Create, inspect, verify a checkpoint (the uploaded artifact).
-    create(&[
-        "--workload".into(),
-        "gcc".into(),
-        "--size".into(),
-        "full".into(),
-        "--model".into(),
-        "MLB-RET".into(),
-        "--ffwd".into(),
-        "20000".into(),
-        "--out".into(),
-        out.clone(),
-    ]);
-    inspect(std::slice::from_ref(&out));
-    verify(std::slice::from_ref(&out));
+    let mlb_ret = CellConfig::Model(CiModel::MlbRet);
+    let gcc = workload("gcc", Size::Full).expect("gcc is a suite workload");
+    create(&gcc, Size::Full, mlb_ret, 20_000, out);
+    inspect(out);
+    verify(out, 10_000);
 
     // 2. The two fast-forward engines halt with byte-identical TPCK
     // checkpoints on every workload of both suites (run_ffwd_bench
     // asserts it), and the superblock engine is no slower than the
     // interpreter in aggregate.
-    let ffwd_cells = run_ffwd_bench(&all_workloads(Size::Tiny), CiModel::MlbRet);
+    let ffwd_cells = run_ffwd_bench(&all_workloads(Size::Tiny), mlb_ret);
     for c in &ffwd_cells {
         println!(
             "ffwd      : {:<10} interp {:>12.0} i/s, superblock {:>12.0} i/s ({:.1}x, tpck ok)",
@@ -351,7 +273,7 @@ fn smoke(args: &[String]) {
         println!(
             "accuracy  : {:<10} {:<8} full {:.3} sampled {:.3} err {:.2}%",
             c.workload,
-            c.model.name(),
+            c.config.name(),
             c.full_ipc,
             c.sampled.ipc_estimate(),
             c.rel_err_pct()
@@ -368,8 +290,8 @@ fn smoke(args: &[String]) {
     // full detailed run.
     let (mut full_wall, mut sampled_wall) = (0.0f64, 0.0f64);
     for name in ["gcc", "go", "compress"] {
-        let w = by_name(name, Size::Long);
-        let cfg = validated_config(CiModel::None);
+        let w = workload(name, Size::Long).expect("long variants of suite workloads exist");
+        let cfg = TraceProcessorConfig::paper(CiModel::None);
         let t = std::time::Instant::now();
         let mut sim = TraceProcessor::new(&w.program, cfg.clone());
         let full = sim.run(u64::MAX).unwrap_or_else(|e| panic!("{name} long: {e}"));
@@ -394,4 +316,15 @@ fn smoke(args: &[String]) {
     );
     println!("speedup   : OK ({speedup:.1}x >= 3x on the long suite)");
     println!("smoke     : all checks passed; artifact at {out}");
+}
+
+/// The CI model whose trace selection a checkpoint's warm images were
+/// built under (`base` for a cold checkpoint).
+pub(crate) fn warm_model(ckpt: &Checkpoint) -> CiModel {
+    match ckpt.warm.as_ref().map(|w| w.selection) {
+        Some(sel) if sel.fg && sel.ntb => CiModel::FgMlbRet,
+        Some(sel) if sel.fg => CiModel::Fg,
+        Some(sel) if sel.ntb => CiModel::MlbRet,
+        _ => CiModel::None,
+    }
 }

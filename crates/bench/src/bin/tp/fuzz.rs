@@ -1,14 +1,6 @@
-//! Differential fuzzer driver: generated structured programs through all
-//! five control-independence models on both frontends, against the
-//! functional oracle.
-//!
-//! Usage:
-//!
-//! ```text
-//! cargo run --release -p tp-bench --bin fuzz -- \
-//!     [--seed S] [--count N] [--budget B] [--config default|small] \
-//!     [--jobs J] [--cfg-oracle] [--shrink] [--quiet]
-//! ```
+//! `tp fuzz`: the differential fuzzer driver. Generated structured
+//! programs run through all five control-independence models on both
+//! frontends, against the functional oracle.
 //!
 //! * `--seed S`   first seed (default 0)
 //! * `--count N`  number of seeds; `0` fuzzes forever (default 500)
@@ -34,12 +26,14 @@
 //! re-run with the `tp-events` bus attached and the Chrome trace capture
 //! is written to `divergence-<seed>.trace.json` in the working directory,
 //! so the cycles leading up to the divergence can be inspected in
-//! perfetto (the `tracetap` binary's `--fuzz-seed` mode reproduces the
-//! same capture on demand).
+//! perfetto (`tp tracetap --fuzz-seed` reproduces the same capture on
+//! demand).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use tp_bench::cli::{Args, UsageError};
+use tp_bench::sweep::all_cores;
 use tp_bench::tap::capture_program;
 use tp_fuzz::emit::{emit_rv, emit_synth};
 use tp_fuzz::gen::generate;
@@ -47,97 +41,35 @@ use tp_fuzz::harness::{Divergence, Harness, Isa, Outcome};
 use tp_fuzz::shrink::shrink;
 use tp_fuzz::{emit_rv_source, FuzzConfig};
 
-struct Args {
-    seed: u64,
-    count: u64,
-    budget: u64,
-    config: FuzzConfig,
-    small_machine: bool,
-    jobs: usize,
-    cfg_oracle: bool,
-    inject_bug: bool,
-    do_shrink: bool,
-    quiet: bool,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        seed: 0,
-        count: 500,
-        budget: 2_000_000,
-        config: FuzzConfig::default(),
-        small_machine: false,
-        jobs: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        cfg_oracle: false,
-        inject_bug: false,
-        do_shrink: false,
-        quiet: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut val = |name: &str| {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                std::process::exit(2);
-            })
-        };
-        match a.as_str() {
-            "--seed" => args.seed = val("--seed").parse().expect("--seed: u64"),
-            "--count" => args.count = val("--count").parse().expect("--count: u64"),
-            "--budget" => args.budget = val("--budget").parse().expect("--budget: u64"),
-            "--jobs" => args.jobs = val("--jobs").parse().expect("--jobs: usize"),
-            "--config" => match val("--config").as_str() {
-                "default" => args.config = FuzzConfig::default(),
-                "small" => args.config = FuzzConfig::small(),
-                other => {
-                    eprintln!("unknown config {other:?}; expected default|small");
-                    std::process::exit(2);
-                }
-            },
-            "--machine" => match val("--machine").as_str() {
-                "paper" => args.small_machine = false,
-                "small" => args.small_machine = true,
-                other => {
-                    eprintln!("unknown machine {other:?}; expected paper|small");
-                    std::process::exit(2);
-                }
-            },
-            "--cfg-oracle" => args.cfg_oracle = true,
-            "--inject-bug" => args.inject_bug = true,
-            "--shrink" => args.do_shrink = true,
-            "--quiet" => args.quiet = true,
-            other => {
-                eprintln!("unknown argument {other:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
-
-fn main() {
-    let args = parse_args();
+pub fn main(mut args: Args) -> Result<(), UsageError> {
+    let first_seed = args.parsed("--seed")?.unwrap_or(0u64);
+    let count = args.parsed("--count")?.unwrap_or(500u64);
+    let jobs = args.parsed("--jobs")?.unwrap_or_else(all_cores);
+    let config = fuzz_config(&mut args)?;
     let harness = Harness {
-        oracle_budget: args.budget,
-        small_machine: args.small_machine,
-        cfg_oracle: args.cfg_oracle,
-        inject_cgci_stall_bug: args.inject_bug,
+        oracle_budget: args.parsed("--budget")?.unwrap_or(2_000_000),
+        small_machine: small_machine(&mut args)?,
+        cfg_oracle: args.flag("--cfg-oracle"),
+        inject_cgci_stall_bug: args.flag("--inject-bug"),
         ..Harness::default()
     };
-    let next = AtomicU64::new(args.seed);
-    let end = if args.count == 0 { u64::MAX } else { args.seed.saturating_add(args.count) };
+    let do_shrink = args.flag("--shrink");
+    let quiet = args.flag("--quiet");
+    args.finish(0)?;
+    let next = AtomicU64::new(first_seed);
+    let end = if count == 0 { u64::MAX } else { first_seed.saturating_add(count) };
     let checked = AtomicU64::new(0);
     let skipped = AtomicU64::new(0);
     let failures: Mutex<Vec<(u64, Divergence)>> = Mutex::new(Vec::new());
 
     std::thread::scope(|scope| {
-        for _ in 0..args.jobs.max(1) {
+        for _ in 0..jobs.max(1) {
             scope.spawn(|| loop {
                 let seed = next.fetch_add(1, Ordering::Relaxed);
                 if seed >= end {
                     break;
                 }
-                match harness.check_seed(&args.config, seed) {
+                match harness.check_seed(&config, seed) {
                     Outcome::Pass { .. } => {}
                     Outcome::TooLong => {
                         skipped.fetch_add(1, Ordering::Relaxed);
@@ -148,7 +80,7 @@ fn main() {
                     }
                 }
                 let n = checked.fetch_add(1, Ordering::Relaxed) + 1;
-                if !args.quiet && n.is_multiple_of(500) {
+                if !quiet && n.is_multiple_of(500) {
                     eprintln!(
                         "fuzz: {n} programs checked (through seed ~{seed}), {} skipped, {} divergent",
                         skipped.load(Ordering::Relaxed),
@@ -167,17 +99,37 @@ fn main() {
         failures.len()
     );
     if failures.is_empty() {
-        return;
+        return Ok(());
     }
     for (seed, d) in &failures {
-        capture_divergence(&harness, &args.config, *seed, d);
+        capture_divergence(&harness, &config, *seed, d);
     }
-    if args.do_shrink {
+    if do_shrink {
         for (seed, _) in &failures {
-            shrink_and_print(&harness, &args.config, *seed);
+            shrink_and_print(&harness, &config, *seed);
         }
     }
     std::process::exit(1);
+}
+
+/// `--config default|small`: the generator configuration (shared with
+/// `tp tracetap --fuzz-seed`).
+pub(crate) fn fuzz_config(args: &mut Args) -> Result<FuzzConfig, UsageError> {
+    match args.value("--config")?.as_deref() {
+        None | Some("default") => Ok(FuzzConfig::default()),
+        Some("small") => Ok(FuzzConfig::small()),
+        Some(other) => Err(UsageError(format!("unknown --config {other:?} (default|small)"))),
+    }
+}
+
+/// `--machine paper|small`: whether to fuzz the small 4-PE machine
+/// (shared with `tp tracetap --fuzz-seed`).
+pub(crate) fn small_machine(args: &mut Args) -> Result<bool, UsageError> {
+    match args.value("--machine")?.as_deref() {
+        None | Some("paper") => Ok(false),
+        Some("small") => Ok(true),
+        Some(other) => Err(UsageError(format!("unknown --machine {other:?} (paper|small)"))),
+    }
 }
 
 /// Replays a divergent seed with the `tp-events` bus attached and writes

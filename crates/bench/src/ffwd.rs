@@ -17,8 +17,10 @@
 use std::time::Instant;
 
 use tp_ckpt::FastForward;
-use tp_core::{CiModel, TraceProcessorConfig};
+use tp_core::TraceProcessorConfig;
 use tp_workloads::{Size, Workload};
+
+use crate::sweep::CellConfig;
 
 /// Minimum accumulated wall time per (workload, engine) measurement.
 const MIN_WALL_SECONDS: f64 = 0.05;
@@ -76,15 +78,16 @@ fn measure(w: &Workload, cfg: &TraceProcessorConfig, superblock: bool) -> (f64, 
     (instrs as f64 / wall, retired, bytes)
 }
 
-/// Benchmarks every workload in `workloads` under `model`, asserting the
+/// Benchmarks every workload in `workloads` under `config`'s trace
+/// selection and warming structures, asserting the
 /// two engines halt with byte-identical TPCK checkpoints.
 ///
 /// # Panics
 ///
 /// Panics if a run fails to halt or the engines' checkpoints diverge —
 /// a correctness bug, not a result.
-pub fn run_ffwd_bench(workloads: &[Workload], model: CiModel) -> Vec<FfwdBenchCell> {
-    let cfg = TraceProcessorConfig::paper(model);
+pub fn run_ffwd_bench(workloads: &[Workload], config: CellConfig) -> Vec<FfwdBenchCell> {
+    let cfg = config.config(16);
     workloads
         .iter()
         .map(|w| {
@@ -136,7 +139,7 @@ fn num(x: f64) -> String {
 pub fn ffwd_section_json(
     cells: &[FfwdBenchCell],
     size: Size,
-    model: CiModel,
+    config: CellConfig,
     indent: usize,
 ) -> String {
     let pad = " ".repeat(indent);
@@ -145,7 +148,7 @@ pub fn ffwd_section_json(
     s.push_str("{\n");
     s.push_str(&format!("{pad}\"schema\": \"tp-bench/sampled/v2\",\n"));
     s.push_str(&format!("{pad}\"suite_size\": \"{}\",\n", crate::speed::size_name(size)));
-    s.push_str(&format!("{pad}\"model\": \"{}\",\n", model.name()));
+    s.push_str(&format!("{pad}\"model\": \"{}\",\n", config.name()));
     s.push_str(&format!("{pad}\"ffwd_speedup_geomean\": {},\n", num(speedup_geomean(cells))));
     s.push_str(&format!("{pad}\"ffwd\": [\n"));
     for (i, c) in cells.iter().enumerate() {
@@ -167,9 +170,9 @@ pub fn ffwd_section_json(
 
 /// The standalone throughput artifact (`tp-bench/sampled/v2` schema, same
 /// object as the embedded section, newline-terminated) — what
-/// `speed --ffwd-bench --out` writes and CI uploads.
-pub fn ffwd_to_json(cells: &[FfwdBenchCell], size: Size, model: CiModel) -> String {
-    let mut s = ffwd_section_json(cells, size, model, 2);
+/// `tp baseline --sample --ffwd-bench` writes and CI uploads.
+pub fn ffwd_to_json(cells: &[FfwdBenchCell], size: Size, config: CellConfig) -> String {
+    let mut s = ffwd_section_json(cells, size, config, 2);
     s.push('\n');
     s
 }
@@ -177,6 +180,7 @@ pub fn ffwd_to_json(cells: &[FfwdBenchCell], size: Size, model: CiModel) -> Stri
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tp_core::CiModel;
     use tp_workloads::by_name;
 
     #[test]
@@ -196,12 +200,13 @@ mod tests {
     #[test]
     fn tiny_cell_runs_and_serializes() {
         let w = by_name("li", Size::Tiny).unwrap();
-        let cells = run_ffwd_bench(std::slice::from_ref(&w), CiModel::MlbRet);
+        let mlb_ret = CellConfig::Model(CiModel::MlbRet);
+        let cells = run_ffwd_bench(std::slice::from_ref(&w), mlb_ret);
         assert_eq!(cells.len(), 1);
         assert!(cells[0].instrs > 0);
         assert!(cells[0].interp_ips > 0.0 && cells[0].superblock_ips > 0.0);
         assert!(cells[0].tpck_equal);
-        let json = ffwd_to_json(&cells, Size::Tiny, CiModel::MlbRet);
+        let json = ffwd_to_json(&cells, Size::Tiny, mlb_ret);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(json.contains("\"schema\": \"tp-bench/sampled/v2\""));
         assert!(json.contains("\"ffwd_instrs_per_sec\""));

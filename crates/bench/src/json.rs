@@ -4,7 +4,7 @@
 //! The build is offline — no serde — and the only JSON this crate ever
 //! reads is JSON it wrote itself, so the reader supports exactly that
 //! subset (no unicode escapes, no exotic numbers) and reports errors with
-//! byte positions instead of panicking: `simprof --diff` runs on
+//! byte positions instead of panicking: `tp simprof --diff` runs on
 //! user-supplied paths.
 
 use std::collections::HashMap;

@@ -1,9 +1,8 @@
-//! Metrics collection grid and the perf-trend diff gate behind the
-//! `simprof` bin.
+//! Metrics collection and the perf-trend diff gate behind `tp simprof`.
 //!
 //! Three pieces:
 //!
-//! * **Per-cell collection** — runs a `(workload, model)` cell with a
+//! * **Per-cell collection** — runs a grid cell with a
 //!   full-interest [`MetricsSink`] (seeded with the static-ipdom map from
 //!   tp-cfg so CGCI detections land in the reconvergence-distance
 //!   histogram) and the host stage profiler attached, and keeps the
@@ -24,15 +23,16 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use tp_cfg::CfgAnalysis;
-use tp_core::{CiModel, SimStats, TraceProcessor, TraceProcessorConfig};
+use tp_core::{SimStats, TraceProcessor};
 use tp_isa::{Pc, Program};
 use tp_metrics::{Metrics, MetricsSink, StageProfiler};
 use tp_stats::Table;
-use tp_workloads::{Size, Workload};
+use tp_workloads::Size;
 
 use crate::json::Json;
 use crate::sampled::SampleConfig;
 use crate::speed::{size_name, CELL_BUDGET};
+use crate::sweep::{Cell, CellConfig};
 
 /// The static immediate-post-dominator map of every conditional branch
 /// that has one: `branch pc -> re-convergence pc`, straight from the
@@ -53,18 +53,18 @@ pub fn ipdom_map(program: &Program) -> HashMap<u32, u32> {
     map
 }
 
-/// One `(workload, model)` metrics measurement: headline stats plus the
-/// derived distributions and the host stage profile.
+/// One grid cell's metrics measurement: headline stats plus the derived
+/// distributions and the host stage profile.
 #[derive(Debug)]
 pub struct MetricsCell {
     /// Workload name.
     pub workload: &'static str,
-    /// Control-independence model.
-    pub model: CiModel,
+    /// The cell's configuration.
+    pub config: CellConfig,
     /// Final simulation statistics.
     pub stats: SimStats,
     /// Host wall-clock seconds for the run (with observation enabled —
-    /// not comparable to bare `speed` figures).
+    /// not comparable to bare `tp baseline` figures).
     pub wall_seconds: f64,
     /// The derived distributions and counters.
     pub metrics: Metrics,
@@ -89,15 +89,16 @@ impl MetricsCell {
 /// # Panics
 ///
 /// Panics if the run deadlocks or fails to halt.
-pub fn collect_cell(w: &Workload, model: CiModel) -> MetricsCell {
-    let cfg = TraceProcessorConfig::paper(model);
-    let mut sim = TraceProcessor::new(&w.program, cfg);
+pub fn collect_cell(cell: &Cell<'_>) -> MetricsCell {
+    let w = cell.workload;
+    let name = cell.config.name();
+    let mut sim = TraceProcessor::new(&w.program, cell.tp_config());
     sim.attach_event_sink(Box::new(MetricsSink::new().with_ipdom(ipdom_map(&w.program))));
     sim.attach_stage_profiler();
     let t = Instant::now();
-    let r = sim.run(CELL_BUDGET).unwrap_or_else(|e| panic!("{} {model:?}: {e}", w.name));
+    let r = sim.run(CELL_BUDGET).unwrap_or_else(|e| panic!("{} {name}: {e}", w.name));
     let wall_seconds = t.elapsed().as_secs_f64();
-    assert!(r.halted, "{} {model:?} did not halt", w.name);
+    assert!(r.halted, "{} {name} did not halt", w.name);
     let profiler = *sim.take_stage_profiler().expect("profiler attached above");
     // Release first: the drain emits balancing close events for still-open
     // spans, which the sink must see before it is detached.
@@ -105,27 +106,12 @@ pub fn collect_cell(w: &Workload, model: CiModel) -> MetricsCell {
     let sink = bus.take::<MetricsSink>().expect("metrics sink attached above");
     MetricsCell {
         workload: w.name,
-        model,
+        config: cell.config,
         stats: r.stats,
         wall_seconds,
         metrics: sink.into_metrics(),
         profiler,
     }
-}
-
-/// Runs the whole collection grid: every workload under every model.
-///
-/// # Panics
-///
-/// As [`collect_cell`].
-pub fn collect_grid(workloads: &[Workload], models: &[CiModel]) -> Vec<MetricsCell> {
-    let mut cells = Vec::new();
-    for w in workloads {
-        for &model in models {
-            cells.push(collect_cell(w, model));
-        }
-    }
-    cells
 }
 
 /// One point of a sampled run's phase series.
@@ -161,8 +147,8 @@ impl PhasePoint {
 pub struct PhaseReport {
     /// Workload name.
     pub workload: &'static str,
-    /// Control-independence model.
-    pub model: CiModel,
+    /// The cell's configuration.
+    pub config: CellConfig,
     /// Every leg, in timeline order.
     pub points: Vec<PhasePoint>,
     /// Merged distributions of the first detailed interval.
@@ -173,7 +159,7 @@ pub struct PhaseReport {
     pub halted: bool,
 }
 
-/// Runs `w` under `model` with sampled simulation, attaching a fresh
+/// Runs `cell` with sampled simulation, attaching a fresh
 /// metrics sink to every detailed interval (after its warmup leg, so the
 /// distributions cover measured work only) and merging the results by
 /// phase.
@@ -182,11 +168,12 @@ pub struct PhaseReport {
 ///
 /// Panics if the simulator deadlocks or a checkpoint fails to
 /// round-trip — bugs, not results.
-pub fn collect_phases(w: &Workload, model: CiModel, sample: &SampleConfig) -> PhaseReport {
+pub fn collect_phases(cell: &Cell<'_>, sample: &SampleConfig) -> PhaseReport {
     use tp_ckpt::{Checkpoint, FastForward};
     use tp_isa::func::MachineState;
 
-    let cfg = TraceProcessorConfig::paper(model);
+    let w = cell.workload;
+    let cfg = cell.tp_config();
     let ipdom = ipdom_map(&w.program);
     let mut ff = FastForward::new(&w.program, &cfg);
     ff.set_frontend(w.frontend);
@@ -270,7 +257,7 @@ pub fn collect_phases(w: &Workload, model: CiModel, sample: &SampleConfig) -> Ph
             index += 1;
         }
     }
-    PhaseReport { workload: w.name, model, points, cold, steady, halted: true }
+    PhaseReport { workload: w.name, config: cell.config, points, cold, steady, halted: true }
 }
 
 fn num(x: f64) -> String {
@@ -292,7 +279,7 @@ pub fn metrics_to_json(cells: &[MetricsCell], size: Size, phases: &[PhaseReport]
     for (i, c) in cells.iter().enumerate() {
         s.push_str("    {");
         s.push_str(&format!("\"workload\": \"{}\", ", c.workload));
-        s.push_str(&format!("\"model\": \"{}\", ", c.model.name()));
+        s.push_str(&format!("\"model\": \"{}\", ", c.config.name()));
         s.push_str(&format!("\"instrs\": {}, ", c.stats.retired_instrs));
         s.push_str(&format!("\"cycles\": {}, ", c.stats.cycles));
         s.push_str(&format!("\"ipc\": {}, ", num(c.stats.ipc())));
@@ -310,7 +297,7 @@ pub fn metrics_to_json(cells: &[MetricsCell], size: Size, phases: &[PhaseReport]
         for (i, p) in phases.iter().enumerate() {
             s.push_str("    {");
             s.push_str(&format!("\"workload\": \"{}\", ", p.workload));
-            s.push_str(&format!("\"model\": \"{}\", ", p.model.name()));
+            s.push_str(&format!("\"model\": \"{}\", ", p.config.name()));
             s.push_str("\"points\": [");
             for (j, pt) in p.points.iter().enumerate() {
                 s.push_str(&format!(
@@ -341,7 +328,7 @@ pub fn metrics_to_markdown(cells: &[MetricsCell], phases: &[PhaseReport]) -> Str
         s.push_str(&format!(
             "\n## {} / {} — IPC {:.3}, {} instrs in {} cycles\n\n",
             c.workload,
-            c.model.name(),
+            c.config.name(),
             c.stats.ipc(),
             c.stats.retired_instrs,
             c.stats.cycles
@@ -365,7 +352,7 @@ pub fn metrics_to_markdown(cells: &[MetricsCell], phases: &[PhaseReport]) -> Str
                 ],
             );
         }
-        s.push_str(&format!("\n## {} / {} — phase series\n\n", p.workload, p.model.name()));
+        s.push_str(&format!("\n## {} / {} — phase series\n\n", p.workload, p.config.name()));
         s.push_str(&t.to_markdown());
     }
     s
@@ -651,7 +638,13 @@ fn dist_obj(cell: &Json) -> Option<&HashMap<String, Json>> {
 mod tests {
     use super::*;
     use crate::json::parse;
-    use tp_workloads::{by_name, Size};
+    use crate::sweep::{run_cell, run_grid};
+    use tp_core::CiModel;
+    use tp_workloads::{by_name, suite, Size, Workload};
+
+    fn cell(w: &Workload, model: CiModel) -> Cell<'_> {
+        Cell { workload: w, config: CellConfig::Model(model), pes: 16 }
+    }
 
     #[test]
     fn ipdom_map_covers_hammocks() {
@@ -666,13 +659,13 @@ mod tests {
     #[test]
     fn collect_cell_fills_distributions() {
         let w = by_name("compress", Size::Tiny).unwrap();
-        let c = collect_cell(&w, CiModel::FgMlbRet);
+        let c = collect_cell(&cell(&w, CiModel::FgMlbRet));
         assert!(c.stats.retired_instrs > 0);
         assert!(c.metrics.traces_retired.get() > 0);
         assert!(!c.metrics.trace_residency.is_empty());
         assert!(c.profiler.total_nanos() > 0);
         // The run itself is unperturbed by observation.
-        let bare = crate::run_model(&w.program, CiModel::FgMlbRet);
+        let bare = run_cell(&cell(&w, CiModel::FgMlbRet));
         assert_eq!(bare.stats.cycles, c.stats.cycles);
     }
 
@@ -680,7 +673,7 @@ mod tests {
     fn phase_series_covers_the_run() {
         let w = by_name("compress", Size::Tiny).unwrap();
         let sample = SampleConfig { warmup: 300, interval: 2_000, skip: 4_000 };
-        let p = collect_phases(&w, CiModel::MlbRet, &sample);
+        let p = collect_phases(&cell(&w, CiModel::MlbRet), &sample);
         assert!(p.halted);
         assert_eq!(p.points[0].phase, "cold");
         assert!(p.points.iter().any(|pt| pt.phase == "ffwd"));
@@ -694,7 +687,7 @@ mod tests {
     #[test]
     fn json_report_parses_back() {
         let w = by_name("compress", Size::Tiny).unwrap();
-        let cells = vec![collect_cell(&w, CiModel::None)];
+        let cells = vec![collect_cell(&cell(&w, CiModel::None))];
         let doc = metrics_to_json(&cells, Size::Tiny, &[]);
         let v = parse(&doc).expect("valid json");
         assert_eq!(v.str("schema"), Some("tp-bench/metrics/v1"));
@@ -750,14 +743,15 @@ mod tests {
 
     #[test]
     fn regenerated_snapshots_diff_clean_and_perturbation_trips_gate() {
-        use crate::speed::{run_grid, to_json, DEFAULT_PES};
-        use tp_core::CiModel;
+        use crate::speed::to_json;
         // Two independent regenerations of the speed document: simulated
         // figures are deterministic, host wall-clock is not — the diff
         // must report zero regressions either way.
-        let models = [CiModel::None, CiModel::MlbRet];
-        let a = run_grid(Size::Tiny, &models, &DEFAULT_PES);
-        let b = run_grid(Size::Tiny, &models, &DEFAULT_PES);
+        let workloads = suite(Size::Tiny);
+        let models = [CellConfig::Model(CiModel::None), CellConfig::Model(CiModel::MlbRet)];
+        let cells = Cell::grid(&workloads, &models, &[16]);
+        let a = run_grid(&cells, 1, run_cell);
+        let b = run_grid(&cells, 1, run_cell);
         let (da, db) = (
             parse(&to_json(&a, Size::Tiny)).expect("valid"),
             parse(&to_json(&b, Size::Tiny)).expect("valid"),

@@ -9,8 +9,8 @@
 //! ([`FastForward::adopt`]), so every interval starts with the predictor
 //! state an uninterrupted detailed run would have had. Every checkpoint
 //! handed to the detailed model goes through a full encode/decode of the
-//! binary format — there is exactly one boot path, the one the `ckpt`
-//! binary and CI artifacts use.
+//! binary format — there is exactly one boot path, the one `tp ckpt` and
+//! the CI artifacts use.
 //!
 //! Aggregation follows the standard systematic-sampling estimate: the IPC
 //! estimate is `sum(interval instructions) / sum(interval cycles)`, and
@@ -25,7 +25,9 @@ use tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
 use tp_isa::func::MachineState;
 use tp_isa::{Frontend, Program};
 use tp_stats::RecoveryAttribution;
-use tp_workloads::{suite, Size, Workload};
+use tp_workloads::{suite, Size};
+
+use crate::sweep::{run_cell, run_grid, Cell, CellConfig};
 
 /// The sampling regime: how much detail per round, and how far to
 /// fast-forward between rounds.
@@ -333,48 +335,29 @@ pub fn default_sample_for(size: Size) -> SampleConfig {
     }
 }
 
-/// One `(workload, model)` sampled measurement.
+/// One grid cell's sampled measurement.
 #[derive(Clone, Debug)]
 pub struct SampledCell {
     /// Workload name.
     pub workload: &'static str,
-    /// Control-independence model.
-    pub model: CiModel,
+    /// The cell's configuration.
+    pub config: CellConfig,
     /// The sampled run.
     pub run: SampledRun,
 }
 
-/// Runs every workload of `size` sampled under every model in `models`.
+/// Runs one grid cell sampled.
 ///
 /// # Panics
 ///
 /// As [`run_sampled`].
-pub fn run_sampled_grid(size: Size, models: &[CiModel], sample: &SampleConfig) -> Vec<SampledCell> {
-    run_sampled_grid_on(&suite(size), models, sample)
-}
-
-/// [`run_sampled_grid`] over an explicit workload list (any suite mix).
-///
-/// # Panics
-///
-/// As [`run_sampled`].
-pub fn run_sampled_grid_on(
-    workloads: &[Workload],
-    models: &[CiModel],
-    sample: &SampleConfig,
-) -> Vec<SampledCell> {
-    let mut cells = Vec::new();
-    for w in workloads {
-        for &model in models {
-            let cfg = TraceProcessorConfig::paper(model);
-            cells.push(SampledCell {
-                workload: w.name,
-                model,
-                run: run_sampled_as(&w.program, w.frontend, &cfg, sample),
-            });
-        }
+pub fn run_sampled_cell(cell: &Cell<'_>, sample: &SampleConfig) -> SampledCell {
+    let w = cell.workload;
+    SampledCell {
+        workload: w.name,
+        config: cell.config,
+        run: run_sampled_as(&w.program, w.frontend, &cell.tp_config(), sample),
     }
-    cells
 }
 
 /// Renders a sampled grid as the `tp-bench/sampled/v2` JSON document
@@ -405,7 +388,7 @@ pub fn sampled_to_json(cells: &[SampledCell], size: Size, sample: &SampleConfig)
         let r = &c.run;
         s.push_str("    {");
         s.push_str(&format!("\"workload\": \"{}\", ", c.workload));
-        s.push_str(&format!("\"model\": \"{}\", ", c.model.name()));
+        s.push_str(&format!("\"model\": \"{}\", ", c.config.name()));
         s.push_str(&format!("\"total_instrs\": {}, ", r.total_instrs));
         s.push_str(&format!("\"intervals\": {}, ", r.intervals.len()));
         s.push_str(&format!("\"detailed_instrs\": {}, ", r.detailed_instrs));
@@ -431,8 +414,8 @@ pub fn sampled_to_json(cells: &[SampledCell], size: Size, sample: &SampleConfig)
 pub struct CrossCheck {
     /// Workload name.
     pub workload: &'static str,
-    /// Control-independence model.
-    pub model: CiModel,
+    /// The cell's configuration.
+    pub config: CellConfig,
     /// Full detailed-run IPC.
     pub full_ipc: f64,
     /// Full detailed-run wall seconds.
@@ -469,33 +452,27 @@ impl CrossCheck {
 ///
 /// Panics if any run deadlocks or fails to halt.
 pub fn cross_check(size: Size, models: &[CiModel], sample: &SampleConfig) -> Vec<CrossCheck> {
-    let mut out = Vec::new();
-    for w in suite(size) {
-        for &model in models {
-            let cfg = TraceProcessorConfig::paper(model);
-            let t = Instant::now();
-            let mut sim = TraceProcessor::new(&w.program, cfg.clone());
-            let full = sim
-                .run(crate::speed::CELL_BUDGET)
-                .unwrap_or_else(|e| panic!("{} {model:?}: {e}", w.name));
-            assert!(full.halted, "{} {model:?} did not halt", w.name);
-            let full_wall = t.elapsed().as_secs_f64();
-            let sampled = run_sampled(&w.program, &cfg, sample);
-            assert_eq!(
-                sampled.total_instrs, full.stats.retired_instrs,
-                "{} {model:?}: sampled run covered a different instruction count",
-                w.name
-            );
-            out.push(CrossCheck {
-                workload: w.name,
-                model,
-                full_ipc: full.stats.ipc(),
-                full_wall,
-                sampled,
-            });
+    let workloads = suite(size);
+    let configs: Vec<CellConfig> = models.iter().map(|&m| CellConfig::Model(m)).collect();
+    // One thread: the comparison reports host wall-clock speedups.
+    run_grid(&Cell::grid(&workloads, &configs, &[16]), 1, |cell| {
+        let full = run_cell(cell);
+        let sampled = run_sampled(&cell.workload.program, &cell.tp_config(), sample);
+        assert_eq!(
+            sampled.total_instrs,
+            full.stats.retired_instrs,
+            "{} {}: sampled run covered a different instruction count",
+            full.workload,
+            cell.config.name()
+        );
+        CrossCheck {
+            workload: full.workload,
+            config: cell.config,
+            full_ipc: full.stats.ipc(),
+            full_wall: full.wall_seconds,
+            sampled,
         }
-    }
-    out
+    })
 }
 
 #[cfg(test)]

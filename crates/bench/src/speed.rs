@@ -1,10 +1,11 @@
-//! Wall-clock speed baseline: the measurement grid behind the `baseline`
-//! bin and `BENCH_speed.json`.
+//! Wall-clock speed baseline: the document behind `tp baseline` and
+//! `BENCH_speed.json`.
 //!
-//! Runs the full workload suite under the complete five-model
-//! control-independence matrix (optionally swept over PE counts) and
-//! records, per cell, the *simulated* outcome (cycles, IPC, misprediction
-//! rates — machine-independent, guarded by the golden corpus), the
+//! The grid — the full workload suite under the complete five-model
+//! control-independence matrix, optionally swept over PE counts — runs
+//! through [`crate::sweep::run_grid`]; the document records, per cell,
+//! the *simulated* outcome (cycles, IPC, misprediction rates —
+//! machine-independent, guarded by the golden corpus), the
 //! misprediction outcome-attribution ledger and next-trace predictor
 //! introspection (the `tp-bench/speed/v2` additions that make per-cell
 //! regressions diagnosable), and the *simulator's* throughput (wall
@@ -12,12 +13,10 @@
 //! ROADMAP tracks). The JSON emitter is hand-rolled because the build is
 //! offline.
 
-use std::time::Instant;
-
-use tp_core::{CiModel, SimStats, TraceProcessor, TraceProcessorConfig};
-use tp_predict::TracePredictorStats;
-use tp_stats::RecoveryAttribution;
+use tp_core::CiModel;
 use tp_workloads::{all_workloads, rv_suite, suite, Size, Workload};
+
+use crate::sweep::{CellConfig, CellRun};
 
 /// Which workload suite a measurement grid runs over.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,98 +59,8 @@ impl SuiteChoice {
     }
 }
 
-/// The model grid of the speed baseline: the paper's full five-model
-/// matrix (§6.2).
-pub const BASELINE_MODELS: [CiModel; 5] =
-    [CiModel::None, CiModel::Ret, CiModel::MlbRet, CiModel::Fg, CiModel::FgMlbRet];
-
-/// The default PE-count axis (the paper's 16-PE machine).
-pub const DEFAULT_PES: [usize; 1] = [16];
-
-/// The full PE-count sweep axis.
-pub const SWEEP_PES: [usize; 3] = [4, 8, 16];
-
 /// Instruction budget per cell (workloads halt well before it).
 pub const CELL_BUDGET: u64 = 100_000_000;
-
-/// One `(workload, model, PE count)` measurement.
-#[derive(Clone, Debug)]
-pub struct SpeedCell {
-    /// Workload name (paper Table 2).
-    pub workload: &'static str,
-    /// Control-independence model.
-    pub model: CiModel,
-    /// Number of processing elements.
-    pub pes: usize,
-    /// Final simulation statistics.
-    pub stats: SimStats,
-    /// The misprediction outcome-attribution ledger.
-    pub attribution: RecoveryAttribution,
-    /// Next-trace predictor statistics.
-    pub predictor: TracePredictorStats,
-    /// Host wall-clock seconds for the run.
-    pub wall_seconds: f64,
-}
-
-impl SpeedCell {
-    /// Simulator throughput: retired instructions per host second.
-    pub fn instrs_per_sec(&self) -> f64 {
-        if self.wall_seconds <= 0.0 {
-            0.0
-        } else {
-            self.stats.retired_instrs as f64 / self.wall_seconds
-        }
-    }
-}
-
-/// Runs the whole grid: every workload of `size` under every model in
-/// `models`, at every PE count in `pe_counts`.
-///
-/// # Panics
-///
-/// Panics if any cell deadlocks or fails to halt — a baseline must never
-/// be recorded from a broken run.
-pub fn run_grid(size: Size, models: &[CiModel], pe_counts: &[usize]) -> Vec<SpeedCell> {
-    run_grid_on(&suite(size), models, pe_counts)
-}
-
-/// [`run_grid`] over an explicit workload list (any suite mix).
-///
-/// # Panics
-///
-/// As [`run_grid`].
-pub fn run_grid_on(
-    workloads: &[Workload],
-    models: &[CiModel],
-    pe_counts: &[usize],
-) -> Vec<SpeedCell> {
-    let mut cells = Vec::new();
-    for w in workloads {
-        for &pes in pe_counts {
-            for &model in models {
-                let mut cfg = TraceProcessorConfig::paper(model);
-                cfg.num_pes = pes;
-                let mut sim = TraceProcessor::new(&w.program, cfg);
-                let t = Instant::now();
-                let r = sim
-                    .run(CELL_BUDGET)
-                    .unwrap_or_else(|e| panic!("{} {model:?} {pes}pe: {e}", w.name));
-                let wall_seconds = t.elapsed().as_secs_f64();
-                assert!(r.halted, "{} {model:?} {pes}pe did not halt", w.name);
-                cells.push(SpeedCell {
-                    workload: w.name,
-                    model,
-                    pes,
-                    stats: r.stats,
-                    attribution: r.attribution,
-                    predictor: r.predictor,
-                    wall_seconds,
-                });
-            }
-        }
-    }
-    cells
-}
 
 /// Absolute slack of the dominance guard, in cycles: recovery events cost
 /// whole construction/refill latencies, so on sub-thousand-cycle runs a
@@ -164,15 +73,15 @@ pub const GUARD_SLACK_CYCLES: u64 = 64;
 /// must reach at least 99% of the base model's IPC (modulo
 /// [`GUARD_SLACK_CYCLES`]) on every `(workload, PE count)` cell. Returns
 /// one message per violation.
-pub fn guard_violations(cells: &[SpeedCell]) -> Vec<String> {
+pub fn guard_violations(cells: &[CellRun]) -> Vec<String> {
+    const BASE: CellConfig = CellConfig::Model(CiModel::None);
     let mut out = Vec::new();
     for c in cells {
-        if c.model == CiModel::None {
+        if !matches!(c.config, CellConfig::Model(m) if m != CiModel::None) {
             continue;
         }
-        let Some(base) = cells
-            .iter()
-            .find(|b| b.model == CiModel::None && b.workload == c.workload && b.pes == c.pes)
+        let Some(base) =
+            cells.iter().find(|b| b.config == BASE && b.workload == c.workload && b.pes == c.pes)
         else {
             continue;
         };
@@ -182,7 +91,7 @@ pub fn guard_violations(cells: &[SpeedCell]) -> Vec<String> {
             out.push(format!(
                 "{} {} {}pe: ipc {ipc:.4} loses {:.2}% to base ({base_ipc:.4})",
                 c.workload,
-                c.model.name(),
+                c.config.name(),
                 c.pes,
                 100.0 * (base_ipc - ipc) / base_ipc,
             ));
@@ -224,14 +133,14 @@ fn num(x: f64) -> String {
 
 /// Renders the grid as the `BENCH_speed.json` document
 /// (`tp-bench/speed/v2` schema; see README "Benchmarking").
-pub fn to_json(cells: &[SpeedCell], size: Size) -> String {
+pub fn to_json(cells: &[CellRun], size: Size) -> String {
     to_json_with_sampled(cells, size, None)
 }
 
 /// [`to_json`] with an optional pre-rendered `sampled` section — the
 /// fast-forward throughput report from [`crate::ffwd::ffwd_section_json`]
 /// (a JSON object, embedded verbatim the way attribution ledgers are).
-pub fn to_json_with_sampled(cells: &[SpeedCell], size: Size, sampled: Option<&str>) -> String {
+pub fn to_json_with_sampled(cells: &[CellRun], size: Size, sampled: Option<&str>) -> String {
     let total_wall: f64 = cells.iter().map(|c| c.wall_seconds).sum();
     let total_instrs: u64 = cells.iter().map(|c| c.stats.retired_instrs).sum();
     let mut s = String::new();
@@ -252,7 +161,7 @@ pub fn to_json_with_sampled(cells: &[SpeedCell], size: Size, sampled: Option<&st
         let st = &c.stats;
         s.push_str("    {");
         s.push_str(&format!("\"workload\": \"{}\", ", c.workload));
-        s.push_str(&format!("\"model\": \"{}\", ", c.model.name()));
+        s.push_str(&format!("\"model\": \"{}\", ", c.config.name()));
         s.push_str(&format!("\"pes\": {}, ", c.pes));
         s.push_str(&format!("\"instrs\": {}, ", st.retired_instrs));
         s.push_str(&format!("\"cycles\": {}, ", st.cycles));
@@ -292,10 +201,20 @@ pub fn to_json_with_sampled(cells: &[SpeedCell], size: Size, sampled: Option<&st
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{run_cell, run_grid, Cell};
+    use tp_core::SimStats;
+    use tp_predict::TracePredictorStats;
+    use tp_stats::RecoveryAttribution;
+
+    fn run_tiny(models: &[CiModel], pes: &[usize]) -> Vec<CellRun> {
+        let workloads = suite(Size::Tiny);
+        let configs: Vec<CellConfig> = models.iter().map(|&m| CellConfig::Model(m)).collect();
+        run_grid(&Cell::grid(&workloads, &configs, pes), 1, run_cell)
+    }
 
     #[test]
     fn tiny_grid_runs_and_serializes() {
-        let cells = run_grid(Size::Tiny, &[CiModel::None, CiModel::Fg], &DEFAULT_PES);
+        let cells = run_tiny(&[CiModel::None, CiModel::Fg], &[16]);
         assert_eq!(cells.len(), 16, "two cells per workload");
         assert!(cells.iter().all(|c| c.stats.retired_instrs > 0 && c.stats.cycles > 0));
         let json = to_json(&cells, Size::Tiny);
@@ -316,10 +235,8 @@ mod tests {
     #[test]
     fn pe_axis_produces_distinct_cells() {
         let w = "m88ksim";
-        let cells: Vec<SpeedCell> = run_grid(Size::Tiny, &[CiModel::None], &[4, 16])
-            .into_iter()
-            .filter(|c| c.workload == w)
-            .collect();
+        let cells: Vec<CellRun> =
+            run_tiny(&[CiModel::None], &[4, 16]).into_iter().filter(|c| c.workload == w).collect();
         assert_eq!(cells.len(), 2);
         assert_eq!(cells[0].pes, 4);
         assert_eq!(cells[1].pes, 16);
@@ -328,16 +245,22 @@ mod tests {
         assert_ne!(cells[0].stats.cycles, cells[1].stats.cycles);
     }
 
-    #[test]
-    fn guard_flags_only_losing_models() {
-        let mk = |model: CiModel, cycles: u64| SpeedCell {
+    fn cell(model: CiModel, stats: SimStats, wall_seconds: f64) -> CellRun {
+        CellRun {
             workload: "x",
-            model,
+            config: CellConfig::Model(model),
             pes: 16,
-            stats: SimStats { retired_instrs: 1000, cycles, ..SimStats::default() },
+            stats,
             attribution: RecoveryAttribution::new(),
             predictor: TracePredictorStats::default(),
-            wall_seconds: 0.1,
+            wall_seconds,
+        }
+    }
+
+    #[test]
+    fn guard_flags_only_losing_models() {
+        let mk = |model: CiModel, cycles: u64| {
+            cell(model, SimStats { retired_instrs: 1000, cycles, ..SimStats::default() }, 0.1)
         };
         // FG 2% slower than base, MLB-RET faster: only FG is flagged.
         let cells =
@@ -356,15 +279,8 @@ mod tests {
 
     #[test]
     fn throughput_is_positive_and_consistent() {
-        let c = SpeedCell {
-            workload: "x",
-            model: CiModel::None,
-            pes: 16,
-            stats: SimStats { retired_instrs: 1000, cycles: 500, ..SimStats::default() },
-            attribution: RecoveryAttribution::new(),
-            predictor: TracePredictorStats::default(),
-            wall_seconds: 0.5,
-        };
+        let stats = SimStats { retired_instrs: 1000, cycles: 500, ..SimStats::default() };
+        let c = cell(CiModel::None, stats, 0.5);
         assert!((c.instrs_per_sec() - 2000.0).abs() < 1e-9);
     }
 }

@@ -1,6 +1,6 @@
 //! Event capture: attach the `tp-events` sinks to a simulator, run it,
-//! and render the captured documents. Shared by the `tracetap` binary and
-//! the fuzz binary's divergence capture.
+//! and render the captured documents. Shared by `tp tracetap` and
+//! `tp fuzz`'s divergence capture.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -171,35 +171,6 @@ pub fn capture_sampled(
         total_instrs: ff.retired(),
         halted: halted || ff.halted(),
     }
-}
-
-/// Paired wall-clock measurement for the disabled-bus overhead guard:
-/// the tiny synthetic suite under MLB-RET, run with the bus unattached
-/// and with a [`NullSink`](tp_events::NullSink) attached (empty interest
-/// mask — every emission site stays masked off, but the attach plumbing
-/// is live). Each figure is the minimum over the repetitions, taken in
-/// alternating order so machine drift hits both variants equally.
-#[derive(Clone, Copy, Debug)]
-pub struct OverheadProbe {
-    /// Best wall-clock with no sink attached, in seconds.
-    pub bare_seconds: f64,
-    /// Best wall-clock with a `NullSink` attached, in seconds.
-    pub attached_seconds: f64,
-}
-
-impl OverheadProbe {
-    /// Attached overhead relative to the bare run, in percent (negative
-    /// when the attached run happened to be faster).
-    pub fn overhead_pct(&self) -> f64 {
-        100.0 * (self.attached_seconds / self.bare_seconds - 1.0)
-    }
-}
-
-/// Runs the disabled-bus overhead probe ([`OverheadProbe`]) with `reps`
-/// repetitions per variant.
-pub fn measure_null_sink_overhead(reps: usize) -> OverheadProbe {
-    let p = measure_observability_overhead(reps);
-    OverheadProbe { bare_seconds: p.bare_seconds, attached_seconds: p.null_sink_seconds }
 }
 
 /// An observability configuration of the simulator, for paired overhead

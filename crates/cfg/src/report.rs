@@ -1,6 +1,6 @@
 //! Static control-independence opportunity report.
 //!
-//! [`CfgReport::build`] summarizes one program's CFG for the `cfgstats`
+//! [`CfgReport::build`] summarizes one program's CFG for the `tp cfgstats`
 //! bench tool: how many branches have a static re-convergent point, how
 //! far away it is, how big the control-dependent region in between is,
 //! and how deeply nested the loops are. This is the *static ceiling* on

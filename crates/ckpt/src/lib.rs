@@ -22,7 +22,7 @@
 //!
 //! The sampled *runner* that alternates these legs and aggregates
 //! per-interval IPC with error bounds lives in `tp-bench`
-//! (`tp_bench::sampled`); the `ckpt` binary creates, inspects, and
+//! (`tp_bench::sampled`); `tp ckpt` creates, inspects, and
 //! verifies checkpoint files.
 
 pub mod checkpoint;

@@ -104,6 +104,15 @@ impl CiModel {
         }
     }
 
+    /// Every model, in the paper's order (`base` first).
+    pub const ALL: [CiModel; 5] =
+        [CiModel::None, CiModel::Ret, CiModel::MlbRet, CiModel::Fg, CiModel::FgMlbRet];
+
+    /// Parses a paper model name (the inverse of [`CiModel::name`]).
+    pub fn parse(s: &str) -> Option<CiModel> {
+        CiModel::ALL.into_iter().find(|m| m.name() == s)
+    }
+
     /// The trace selection each model uses (Section 6.2 pairs each CI model
     /// with the selection constraints that expose its re-convergent points).
     pub fn selection(self) -> SelectionConfig {
@@ -172,9 +181,6 @@ pub struct TraceProcessorConfig {
     /// Verify committed state against the functional oracle at every trace
     /// retirement (slow; intended for tests).
     pub verify_with_oracle: bool,
-    /// Record the PC of every retired mispredicted conditional branch
-    /// (diagnostics; off by default — the log grows with mispredictions).
-    pub log_mispredicts: bool,
     /// Check every CGCI re-convergence detection against the static
     /// post-dominator analysis (`tp-cfg`) and abort with
     /// [`SimError::OracleMismatch`](crate::SimError::OracleMismatch) on an
@@ -230,7 +236,6 @@ impl TraceProcessorConfig {
             tcache_sets: 256,
             tcache_ways: 4,
             verify_with_oracle: false,
-            log_mispredicts: false,
             cfg_oracle: false,
             deadlock_cycles: 50_000,
             inject_cgci_stall_bug: false,
@@ -326,6 +331,15 @@ mod tests {
         assert_eq!(CiModel::MlbRet.name(), "MLB-RET");
         assert_eq!(CiModel::Fg.name(), "FG");
         assert_eq!(CiModel::FgMlbRet.name(), "FG+MLB-RET");
+    }
+
+    #[test]
+    fn model_names_round_trip() {
+        for m in CiModel::ALL {
+            assert_eq!(CiModel::parse(m.name()), Some(m));
+        }
+        assert_eq!(CiModel::parse("fg"), None);
+        assert_eq!(CiModel::parse("base(fg)"), None);
     }
 
     #[test]

@@ -65,5 +65,5 @@ pub mod stats;
 
 pub use boot::{BootError, BootImage, WarmBoot};
 pub use config::{CgciHeuristic, CiModel, ConfigError, TraceProcessorConfig};
-pub use sim::{MispredictRecord, RunResult, SimError, TraceProcessor};
+pub use sim::{RunResult, SimError, TraceProcessor};
 pub use stats::SimStats;

@@ -395,9 +395,6 @@ pub struct TraceProcessor<'p> {
     /// The misprediction outcome-attribution ledger. Observation-only:
     /// nothing in the simulator reads it back.
     attribution: RecoveryAttribution,
-    /// Retired mispredicted branches with provenance
-    /// ([`TraceProcessorConfig::log_mispredicts`]).
-    misp_log: Vec<MispredictRecord>,
     /// The structured event bus ([`TraceProcessor::attach_event_sink`]).
     /// Strictly observation-only: every emission site is gated on the
     /// bus's cached category mask and nothing in the simulator reads the
@@ -409,22 +406,6 @@ pub struct TraceProcessor<'p> {
     /// is wrapped in a scoped timer. Host-side only — simulated behaviour
     /// is identical either way.
     profiler: Option<Box<StageProfiler>>,
-}
-
-/// One retired mispredicted branch, with the provenance of its (wrong)
-/// embedded prediction ([`TraceProcessor::mispredict_log`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MispredictRecord {
-    /// The branch's PC.
-    pub pc: Pc,
-    /// Index of the branch among its trace's conditional branches.
-    pub branch_idx: u8,
-    /// Number of branches the trace's id embeds (a `branch_idx` at or
-    /// beyond this depth was predicted by the construction fallback, not
-    /// the next-trace prediction).
-    pub id_branches: u8,
-    /// How the trace entered the window.
-    pub source: FetchSource,
 }
 
 impl<'p> TraceProcessor<'p> {
@@ -591,7 +572,6 @@ impl<'p> TraceProcessor<'p> {
             retired_next_pc: boot.pc,
             stats: SimStats::default(),
             attribution: RecoveryAttribution::new(),
-            misp_log: Vec::new(),
             events: EventBus::new(),
             profiler: None,
             cfg,
@@ -670,12 +650,6 @@ impl<'p> TraceProcessor<'p> {
     /// Next-trace predictor statistics (component hits, index pollution).
     pub fn predictor_stats(&self) -> TracePredictorStats {
         self.predictor.stats()
-    }
-
-    /// Retired mispredicted conditional branches, in retirement order
-    /// (empty unless [`TraceProcessorConfig::log_mispredicts`]).
-    pub fn mispredict_log(&self) -> &[MispredictRecord] {
-        &self.misp_log
     }
 
     /// CGCI re-convergence detections by static classification (all zero

@@ -469,21 +469,22 @@ impl TraceProcessor<'_> {
         // not at detection — so transient faults never count.
         self.pes[pe].slots[rec.slot].was_mispredicted = true;
         self.pes[pe].slots[rec.slot].attr = Some(rec.attr);
-        if self.cfg.log_mispredicts {
+        let branch_pc = self.pes[pe].slots[rec.slot].ti.pc;
+        if self.events.wants(Category::Recovery) {
             let branch_idx = self.pes[pe].slots[..rec.slot]
                 .iter()
                 .filter(|s| s.ti.inst.is_cond_branch())
                 .count() as u8;
-            self.misp_log.push(MispredictRecord {
-                pc: self.pes[pe].slots[rec.slot].ti.pc,
-                branch_idx,
-                id_branches: self.pes[pe].trace.id().branches(),
-                source: self.pes[pe].source,
-            });
-        }
-        let branch_pc = self.pes[pe].slots[rec.slot].ti.pc;
-        if self.events.wants(Category::Recovery) {
-            self.events.emit(self.now, Event::RecoveryApplied { pe: pe as u8, branch_pc });
+            self.events.emit(
+                self.now,
+                Event::RecoveryApplied {
+                    pe: pe as u8,
+                    branch_pc,
+                    branch_idx,
+                    id_branches: self.pes[pe].trace.id().branches(),
+                    fallback: self.pes[pe].source == FetchSource::Fallback,
+                },
+            );
         }
         if self.events.wants(Category::Trace) {
             self.events.emit(self.now, Event::TraceRepaired { pe: pe as u8, branch_pc });

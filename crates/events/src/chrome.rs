@@ -244,7 +244,7 @@ impl EventSink for ChromeTraceSink {
                 let name = format!("recovery {}", plan.label());
                 self.instant(cycle, Self::pe_pid(pe), &name, &format!("\"branch_pc\":{branch_pc}"));
             }
-            Event::RecoveryApplied { pe, branch_pc } => {
+            Event::RecoveryApplied { pe, branch_pc, .. } => {
                 self.instant(
                     cycle,
                     Self::pe_pid(pe),

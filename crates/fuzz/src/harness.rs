@@ -132,7 +132,8 @@ impl Default for Harness {
 
 impl Harness {
     /// Builds the pipeline configuration for `model`. Centralized so the
-    /// fuzz binary, CI sweep, and shrinker all test the identical machine.
+    /// fuzz driver (`tp fuzz`), CI sweep, and shrinker all test the identical
+    /// machine.
     pub fn config(&self, model: CiModel) -> TraceProcessorConfig {
         let mut cfg = if self.small_machine {
             TraceProcessorConfig::small(model)

@@ -17,7 +17,7 @@
 //! The building blocks — fixed-layout log2 [`Histogram`]s with exact low
 //! buckets and associative merge, [`Counter`]/[`Gauge`] scalars, and the
 //! per-interval [`SeriesRecorder`] — are usable on their own; the
-//! `simprof` bin in `tp-bench` renders them as `tp-bench/metrics/v1`
+//! `tp simprof` command (in `tp-bench`) renders them as `tp-bench/metrics/v1`
 //! reports.
 
 pub mod counter;

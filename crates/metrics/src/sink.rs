@@ -351,7 +351,16 @@ mod tests {
             50,
             Event::RecoveryStarted { pe: 1, branch_pc: 7, plan: tp_events::RecoveryPlan::Fgci },
         );
-        bus.emit(57, Event::RecoveryApplied { pe: 1, branch_pc: 7 });
+        bus.emit(
+            57,
+            Event::RecoveryApplied {
+                pe: 1,
+                branch_pc: 7,
+                branch_idx: 0,
+                id_branches: 0,
+                fallback: false,
+            },
+        );
 
         let sink = bus.take::<MetricsSink>().expect("attached above");
         let m = sink.metrics();

@@ -123,21 +123,24 @@ fn rv_suite_matches_functional_machine_under_all_models() {
 /// base somewhere, and none loses beyond the guard bound anywhere.
 #[test]
 fn rv_suite_ci_dominance() {
-    use tp_bench::speed::{guard_violations, run_grid_on, SuiteChoice};
-    let cells = run_grid_on(&SuiteChoice::Rv.workloads(Size::Tiny), &MODELS, &[16]);
+    use tp_bench::speed::{guard_violations, SuiteChoice};
+    use tp_bench::sweep::{run_cell, run_grid, Cell, CellConfig};
+    const BASE: CellConfig = CellConfig::Model(CiModel::None);
+    let workloads = SuiteChoice::Rv.workloads(Size::Tiny);
+    let cells = run_grid(&Cell::grid(&workloads, &CellConfig::MODELS, &[16]), 1, run_cell);
     let violations = guard_violations(&cells);
     assert!(violations.is_empty(), "CI models lose to base: {violations:?}");
     let mut wins = Vec::new();
     for c in &cells {
-        if c.model == CiModel::None {
+        if c.config == BASE {
             continue;
         }
         let base = cells
             .iter()
-            .find(|b| b.model == CiModel::None && b.workload == c.workload)
+            .find(|b| b.config == BASE && b.workload == c.workload)
             .expect("base cell exists");
         if c.stats.ipc() > base.stats.ipc() * 1.05 {
-            wins.push(format!("{} {}", c.workload, c.model.name()));
+            wins.push(format!("{} {}", c.workload, c.config.name()));
         }
     }
     assert!(!wins.is_empty(), "no CI model beats base by >5% on any rv workload");

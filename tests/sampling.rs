@@ -187,7 +187,7 @@ fn sampled_ipc_within_5_percent_of_full_run() {
             c.rel_err_pct() <= 5.0,
             "{} {}: sampled {:.4} vs full {:.4} ({:.2}% error)",
             c.workload,
-            c.model.name(),
+            c.config.name(),
             c.sampled.ipc_estimate(),
             c.full_ipc,
             c.rel_err_pct()
