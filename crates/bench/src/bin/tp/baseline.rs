@@ -16,19 +16,19 @@
 //! `--size long`) and writes the `tp-bench/sampled/v2` schema instead,
 //! defaulting `--out` to `BENCH_sampled.json`. With `--ffwd-bench` it
 //! runs only the fast-forward benchmark, at `--size`, and writes the
-//! standalone throughput document (default `BENCH_ffwd.json`) — the CI
+//! standalone `tp-bench/ffwd/v1` document (default `BENCH_ffwd.json`) — the CI
 //! smoke gates it at 1.0: the superblock engine must never be slower.
 
 use tp_bench::cli::{Args, CellSpec, UsageError, MODEL, OUT, PES, SAMPLE, SIZE, SUITE};
-use tp_bench::ffwd::{ffwd_section_json, ffwd_to_json, run_ffwd_bench, speedup_geomean};
+use tp_bench::ffwd::{ffwd_to_json, run_ffwd_bench, speedup_geomean};
 use tp_bench::sampled::{default_sample_for, run_sampled_cell, sampled_to_json};
-use tp_bench::speed::{guard_violations, to_json_with_sampled};
+use tp_bench::speed::{guard_violations, to_json};
 use tp_bench::sweep::{run_cell, run_grid, Cell, CellConfig};
 use tp_bench::FfwdBenchCell;
 use tp_core::CiModel;
 use tp_workloads::{Size, Workload};
 
-use crate::write_doc;
+use crate::write_json;
 
 /// The fast-forward benchmark's model: the sampled flow's usual one, whose
 /// selection (ntb cuts, no fg padding) is the realistic per-trace warming
@@ -52,7 +52,7 @@ pub fn main(mut args: Args) -> Result<(), UsageError> {
         let config = spec.config(FFWD_MODEL)?;
         let out = spec.out.as_deref().unwrap_or("BENCH_ffwd.json");
         let cells = ffwd_table(&spec.suite.workloads(spec.size), config);
-        write_doc(out, &ffwd_to_json(&cells, spec.size, config));
+        write_json(out, &ffwd_to_json(&cells, spec.size, config));
         check_gate(&cells, gate);
         return Ok(());
     }
@@ -109,8 +109,8 @@ pub fn main(mut args: Args) -> Result<(), UsageError> {
     // regime where fast-forward is the wall-clock floor — regardless of
     // the detailed grid's `--size`.
     let ffwd = ffwd_bench.then(|| ffwd_table(&spec.suite.workloads(Size::Long), FFWD_MODEL));
-    let section = ffwd.as_ref().map(|c| ffwd_section_json(c, Size::Long, FFWD_MODEL, 4));
-    write_doc(out, &to_json_with_sampled(&runs, spec.size, section.as_deref()));
+    let section = ffwd.as_ref().map(|c| ffwd_to_json(c, Size::Long, FFWD_MODEL));
+    write_json(out, &to_json(&runs, spec.size, section));
     if let Some(cells) = &ffwd {
         check_gate(cells, gate);
     }
@@ -149,7 +149,7 @@ fn sampled(cells: &[Cell<'_>], size: Size, out: &str) {
             r.wall_seconds,
         );
     }
-    write_doc(out, &sampled_to_json(&runs, size, &sample));
+    write_json(out, &sampled_to_json(&runs, size, &sample));
 }
 
 /// Runs the fast-forward engine benchmark over `workloads`, printing one

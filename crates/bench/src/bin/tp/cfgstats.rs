@@ -12,9 +12,10 @@
 //! against `tp cistats` for what they actually achieve.
 //!
 //! Exit status is non-zero iff any reported workload has lint findings,
-//! so CI can run the text report as a corpus health check.
+//! in either mode, so CI can run the report as a corpus health check.
 
 use tp_bench::cli::{workload, Args, CellSpec, UsageError, WORKLOAD};
+use tp_bench::json::Json;
 use tp_cfg::{BranchKind, CfgAnalysis, CfgReport};
 use tp_workloads::{Size, Workload};
 
@@ -27,71 +28,78 @@ pub fn main(mut args: Args) -> Result<(), UsageError> {
         Some(name) => vec![workload(name, spec.size)?],
         None => tp_workloads::all_workloads(spec.size),
     };
-
-    if json {
-        let docs: Vec<String> = workloads.iter().map(report_json).collect();
-        if single {
-            println!("{}", docs[0]);
-        } else {
-            println!("[\n{}\n]", docs.join(",\n"));
-        }
-        return Ok(());
-    }
-
-    let mut findings = 0usize;
-    for w in &workloads {
-        let analysis = CfgAnalysis::build(&w.program);
-        let r = CfgReport::build(&w.program, &analysis);
-        findings += r.lint.len();
-        println!(
-            "{:>10} ({:?}): {} insts, {} fns, {} loops (depth {}), {} branches \
-             [loop {}+{} hammock {} fnexit {}], indirect {}/{} resolved, \
-             reconv dist p50 {} max {}, region p50 {} max {}{}",
-            r.name,
-            w.frontend,
-            r.insts,
-            r.functions,
-            r.loops,
-            r.max_loop_depth,
-            r.branches.len(),
-            r.count(BranchKind::SingleExitLoop),
-            r.count(BranchKind::MultiExitLoop),
-            r.count(BranchKind::ForwardHammock),
-            r.count(BranchKind::FunctionExit),
-            r.resolved_indirect_sites,
-            r.indirect_sites,
-            pct(&dist_samples(&r), 50),
-            pct(&dist_samples(&r), 100),
-            pct(&region_samples(&r), 50),
-            pct(&region_samples(&r), 100),
-            if r.lint.is_empty() {
-                String::new()
-            } else {
-                format!(", LINT {} findings", r.lint.len())
-            },
-        );
-        for f in &r.lint {
-            println!("           lint: {f}");
-        }
-        if single {
-            println!("           branches:");
-            for b in &r.branches {
-                println!(
-                    "             pc {:5} {:>17} reconv {:>5} dist {:>4} region {:>4} loop-depth {}",
-                    b.pc,
-                    b.kind.label(),
-                    b.reconv.map_or("-".into(), |r| r.to_string()),
-                    b.distance.map_or("-".into(), |d| d.to_string()),
-                    b.region_size.map_or("-".into(), |s| s.to_string()),
-                    b.loop_depth,
-                );
-            }
-        }
-    }
-    if findings > 0 {
+    if report(&workloads, single, json) > 0 {
         std::process::exit(1);
     }
     Ok(())
+}
+
+/// Prints the report for `workloads` — text, or with `json` the
+/// `tp-bench/cfgstats/v1` document (an array unless `single`) — and
+/// returns the number of lint findings, the one input of the exit status.
+fn report(workloads: &[Workload], single: bool, json: bool) -> usize {
+    let mut findings = 0;
+    let mut docs = Vec::new();
+    for w in workloads {
+        let analysis = CfgAnalysis::build(&w.program);
+        let r = CfgReport::build(&w.program, &analysis);
+        findings += r.lint.len();
+        if json {
+            docs.push(report_json(w, &r));
+        } else {
+            print_text(w, &r, single);
+        }
+    }
+    if json {
+        let doc = if single { docs.pop().expect("one workload") } else { Json::Arr(docs) };
+        println!("{doc}");
+    }
+    findings
+}
+
+/// One workload's text summary line, its lint findings and, for a single
+/// workload, its full branch table.
+fn print_text(w: &Workload, r: &CfgReport, single: bool) {
+    println!(
+        "{:>10} ({:?}): {} insts, {} fns, {} loops (depth {}), {} branches \
+         [loop {}+{} hammock {} fnexit {}], indirect {}/{} resolved, \
+         reconv dist p50 {} max {}, region p50 {} max {}{}",
+        r.name,
+        w.frontend,
+        r.insts,
+        r.functions,
+        r.loops,
+        r.max_loop_depth,
+        r.branches.len(),
+        r.count(BranchKind::SingleExitLoop),
+        r.count(BranchKind::MultiExitLoop),
+        r.count(BranchKind::ForwardHammock),
+        r.count(BranchKind::FunctionExit),
+        r.resolved_indirect_sites,
+        r.indirect_sites,
+        pct(&dist_samples(r), 50),
+        pct(&dist_samples(r), 100),
+        pct(&region_samples(r), 50),
+        pct(&region_samples(r), 100),
+        if r.lint.is_empty() { String::new() } else { format!(", LINT {} findings", r.lint.len()) },
+    );
+    for f in &r.lint {
+        println!("           lint: {f}");
+    }
+    if single {
+        println!("           branches:");
+        for b in &r.branches {
+            println!(
+                "             pc {:5} {:>17} reconv {:>5} dist {:>4} region {:>4} loop-depth {}",
+                b.pc,
+                b.kind.label(),
+                b.reconv.map_or("-".into(), |r| r.to_string()),
+                b.distance.map_or("-".into(), |d| d.to_string()),
+                b.region_size.map_or("-".into(), |s| s.to_string()),
+                b.loop_depth,
+            );
+        }
+    }
 }
 
 /// Sorted re-convergence distances (absolute) over branches that have one.
@@ -120,40 +128,63 @@ fn pct(sorted: &[u64], p: usize) -> u64 {
 }
 
 /// One workload's `tp-bench/cfgstats/v1` JSON document.
-fn report_json(w: &Workload) -> String {
-    let analysis = CfgAnalysis::build(&w.program);
-    let r = CfgReport::build(&w.program, &analysis);
-    let dist = dist_samples(&r);
-    let region = region_samples(&r);
-    let kinds: Vec<String> =
-        BranchKind::ALL.iter().map(|&k| format!("\"{}\": {}", k.label(), r.count(k))).collect();
-    let lint: Vec<String> = r.lint.iter().map(|f| format!("\"{f}\"")).collect();
-    format!(
-        "{{\n  \"schema\": \"tp-bench/cfgstats/v1\",\n  \"workload\": \"{}\",\n  \
-         \"frontend\": \"{:?}\",\n  \"insts\": {},\n  \"functions\": {},\n  \
-         \"reachable_insts\": {},\n  \"loops\": {},\n  \"max_loop_depth\": {},\n  \
-         \"indirect_sites\": {},\n  \"resolved_indirect_sites\": {},\n  \
-         \"branches\": {{\"total\": {}, {}}},\n  \
-         \"reconv_distance\": {{\"p50\": {}, \"p90\": {}, \"max\": {}}},\n  \
-         \"region_size\": {{\"p50\": {}, \"p90\": {}, \"max\": {}}},\n  \
-         \"lint\": [{}]\n}}",
-        r.name,
-        w.frontend,
-        r.insts,
-        r.functions,
-        r.reachable_insts,
-        r.loops,
-        r.max_loop_depth,
-        r.indirect_sites,
-        r.resolved_indirect_sites,
-        r.branches.len(),
-        kinds.join(", "),
-        pct(&dist, 50),
-        pct(&dist, 90),
-        pct(&dist, 100),
-        pct(&region, 50),
-        pct(&region, 90),
-        pct(&region, 100),
-        lint.join(", "),
-    )
+fn report_json(w: &Workload, r: &CfgReport) -> Json {
+    let (dist, region) = (dist_samples(r), region_samples(r));
+    let spread = |s: &[u64]| {
+        Json::obj([
+            ("p50", pct(s, 50).into()),
+            ("p90", pct(s, 90).into()),
+            ("max", pct(s, 100).into()),
+        ])
+    };
+    let mut branches = vec![("total", r.branches.len().into())];
+    branches.extend(BranchKind::ALL.iter().map(|&k| (k.label(), r.count(k).into())));
+    Json::obj([
+        ("schema", "tp-bench/cfgstats/v1".into()),
+        ("workload", r.name.as_str().into()),
+        ("frontend", format!("{:?}", w.frontend).into()),
+        ("insts", r.insts.into()),
+        ("functions", r.functions.into()),
+        ("reachable_insts", r.reachable_insts.into()),
+        ("loops", r.loops.into()),
+        ("max_loop_depth", r.max_loop_depth.into()),
+        ("indirect_sites", r.indirect_sites.into()),
+        ("resolved_indirect_sites", r.resolved_indirect_sites.into()),
+        ("branches", Json::obj(branches)),
+        ("reconv_distance", spread(&dist)),
+        ("region_size", spread(&region)),
+        ("lint", Json::Arr(r.lint.iter().map(|f| f.to_string().into()).collect())),
+    ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tp_isa::asm::Asm;
+    use tp_isa::Frontend;
+
+    #[test]
+    fn lint_findings_set_the_exit_rule_in_both_modes() {
+        let mut a = Asm::new("linty");
+        a.halt(); // pc 0
+        a.nop(); // pc 1: unreachable
+        let program = a.assemble().unwrap();
+        let w = Workload {
+            name: "linty",
+            description: "dead code",
+            program,
+            frontend: Frontend::Synth,
+        };
+        let one = std::slice::from_ref(&w);
+        assert_eq!(report(one, true, false), 1);
+        assert_eq!(report(one, true, true), 1);
+        assert_eq!(report(&[w.clone(), w.clone()], false, true), 2);
+        assert_eq!(report(&[workload("compress", Size::Tiny).unwrap()], true, true), 0);
+        // The JSON document names the finding.
+        let r = CfgReport::build(&w.program, &CfgAnalysis::build(&w.program));
+        let doc = tp_bench::json::parse(&report_json(&w, &r).to_string()).unwrap();
+        assert_eq!(doc.str("schema"), Some("tp-bench/cfgstats/v1"));
+        let lint = doc.get("lint").and_then(Json::as_array).expect("lint array");
+        assert_eq!(lint, [Json::from("unreachable: pcs 1..=1")]);
+    }
 }

@@ -14,7 +14,8 @@
 use std::collections::HashMap;
 
 use tp_bench::cli::{workload, Args, CellSpec, UsageError, MODEL, WORKLOAD};
-use tp_bench::speed::CELL_BUDGET;
+use tp_bench::json::Json;
+use tp_bench::speed::{predictor_json, CELL_BUDGET};
 use tp_bench::sweep::{all_cores, run_cell, run_grid, Cell, CellConfig};
 use tp_core::TraceProcessor;
 use tp_events::{Category, CategoryMask, Event, RingSink};
@@ -46,32 +47,20 @@ fn one_model(w: &Workload, config: CellConfig, json: bool) {
     let s = run.stats;
     let p = run.predictor;
     if json {
-        println!(
-            "{{\n  \"schema\": \"tp-bench/cistats/v1\",\n  \"workload\": \"{name}\",\n  \
-             \"model\": \"{}\",\n  \"ipc\": {:.6},\n  \"cycles\": {},\n  \
-             \"retired_instrs\": {},\n  \"retired_cond_branches\": {},\n  \
-             \"retired_cond_mispredicts\": {},\n  \"branch_misp_rate_pct\": {:.6},\n  \
-             \"predictor\": {{\"predictions\": {}, \"path_hits\": {}, \"simple_hits\": {}, \
-             \"no_prediction\": {}, \"path_tag_evictions\": {}, \"path_repoints\": {}, \
-             \"simple_tag_evictions\": {}, \"simple_repoints\": {}}},\n  \
-             \"attribution\": {}\n}}",
-            config.name(),
-            s.ipc(),
-            s.cycles,
-            s.retired_instrs,
-            s.retired_cond_branches,
-            s.retired_cond_mispredicts,
-            s.branch_misp_rate(),
-            p.predictions,
-            p.path_hits,
-            p.simple_hits,
-            p.no_prediction,
-            p.path_tag_evictions,
-            p.path_repoints,
-            p.simple_tag_evictions,
-            p.simple_repoints,
-            run.attribution.to_json(),
-        );
+        let doc = Json::obj([
+            ("schema", "tp-bench/cistats/v1".into()),
+            ("workload", name.into()),
+            ("model", config.name().into()),
+            ("ipc", s.ipc().into()),
+            ("cycles", s.cycles.into()),
+            ("retired_instrs", s.retired_instrs.into()),
+            ("retired_cond_branches", s.retired_cond_branches.into()),
+            ("retired_cond_mispredicts", s.retired_cond_mispredicts.into()),
+            ("branch_misp_rate_pct", s.branch_misp_rate().into()),
+            ("predictor", predictor_json(&p)),
+            ("attribution", run.attribution.to_json()),
+        ]);
+        println!("{doc}");
         return;
     }
     println!(

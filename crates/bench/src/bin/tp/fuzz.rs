@@ -157,7 +157,7 @@ fn capture_divergence(harness: &Harness, config: &FuzzConfig, seed: u64, d: &Div
     let budget = harness.oracle_budget.saturating_add(harness.sim_slack);
     let cap = capture_program(&program, harness.config(model), budget);
     let path = format!("divergence-{seed}.trace.json");
-    match std::fs::write(&path, &cap.chrome_json) {
+    match std::fs::write(&path, format!("{}\n", cap.chrome_json)) {
         Ok(()) => println!(
             "seed {seed}: event capture at {path} ({} retired, {} cycles{})",
             cap.retired,

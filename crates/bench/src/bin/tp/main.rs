@@ -17,6 +17,7 @@ mod sweep;
 mod tracetap;
 
 use tp_bench::cli::{Args, UsageError};
+use tp_bench::json::Json;
 
 const USAGE: &str = "\
 usage: tp <subcommand> [flags]
@@ -41,7 +42,7 @@ usage: tp <subcommand> [flags]
   tracetap  --ckpt PATH [--interval N] [--model M]
   tracetap  --fuzz-seed S [--isa synth|rv] [--machine paper|small]
             [--config default|small] [--model M] [--budget N]
-            (every tracetap mode: [--out PATH] [--counters PATH])
+            (every tracetap mode: [--out PATH])
   hotpc
 
   S: tiny|small|full|long    U: synth|rv|all
@@ -67,6 +68,11 @@ fn main() {
         eprintln!("{}: {e}\n{USAGE}", format!("tp {cmd}").trim_end());
         std::process::exit(2);
     }
+}
+
+/// Writes a JSON document, newline-terminated.
+fn write_json(path: &str, doc: &Json) {
+    write_doc(path, &format!("{doc}\n"));
 }
 
 /// Writes an output document, naming the path on failure.

@@ -31,7 +31,7 @@ use tp_bench::sweep::{run_grid, Cell, CellConfig};
 use tp_bench::tap::{measure_observability_overhead, ObsVariant};
 use tp_workloads::Size;
 
-use crate::write_doc;
+use crate::{write_doc, write_json};
 
 pub fn main(mut args: Args) -> Result<(), UsageError> {
     let spec = CellSpec::take(&mut args, &[WORKLOAD, SIZE, SUITE, MODEL, SAMPLE, OUT], Size::Tiny)?;
@@ -102,7 +102,7 @@ pub fn main(mut args: Args) -> Result<(), UsageError> {
         );
     }
     if let Some(path) = &spec.out {
-        write_doc(path, &metrics_to_json(&metrics, spec.size, &phases));
+        write_json(path, &metrics_to_json(&metrics, spec.size, &phases));
     }
     if let Some(path) = &md_out {
         write_doc(path, &metrics_to_markdown(&metrics, &phases));

@@ -1,11 +1,10 @@
 //! `tp tracetap`: run any (workload, model) cell — or resume a TPCK
 //! checkpoint, or replay a fuzzer reproducer — with the `tp-events` bus
 //! attached, and write Chrome trace-event JSON (loads directly in
-//! perfetto / `chrome://tracing`) plus an optional counter timeline.
+//! perfetto / `chrome://tracing`).
 //!
-//! Common flags: `--out PATH` (Chrome trace JSON, default
-//! `tracetap.trace.json`) and `--counters PATH` (compact counter-timeline
-//! JSON, only written when requested).
+//! Common flag: `--out PATH` (Chrome trace JSON, default
+//! `tracetap.trace.json`).
 //!
 //! * `--workload` runs a fresh simulator on a named workload for up to
 //!   `--budget` retired instructions (default 200 000).
@@ -26,7 +25,7 @@
 //!   `--rounds N` bounds the number of intervals (default 16).
 //!
 //! The exit status is non-zero if the captured run ended in a simulator
-//! error; the trace documents are written either way — capturing the
+//! error; the trace document is written either way — capturing the
 //! events leading up to a failure is the whole point of the tap.
 
 use tp_bench::cli::{workload, Args, CellSpec, UsageError, MODEL, OUT, SAMPLE, SIZE, WORKLOAD};
@@ -41,7 +40,7 @@ use tp_workloads::Size;
 
 use crate::ckpt::{find_program, read_checkpoint, warm_model};
 use crate::fuzz::{fuzz_config, small_machine};
-use crate::write_doc;
+use crate::write_json;
 
 /// The model a capture runs under when `--model` is absent.
 const DEFAULT_MODEL: CellConfig = CellConfig::Model(CiModel::MlbRet);
@@ -53,7 +52,6 @@ pub fn main(mut args: Args) -> Result<(), UsageError> {
     let interval = args.parsed("--interval")?.unwrap_or(10_000);
     let budget = args.parsed("--budget")?.unwrap_or(200_000);
     let rounds = args.parsed("--rounds")?.unwrap_or(16);
-    let counters = args.value("--counters")?;
     let isa = match args.value("--isa")?.as_deref() {
         None | Some("synth") => Isa::Synth,
         Some("rv") => Isa::Rv,
@@ -79,7 +77,7 @@ pub fn main(mut args: Args) -> Result<(), UsageError> {
         if spec.sample {
             let sample = default_sample_for(spec.size);
             let cap = capture_sampled(&w.program, w.frontend, &cfg, &sample, rounds);
-            write_doc(out, &cap.chrome_json);
+            write_json(out, &cap.chrome_json);
             println!(
                 "{name}/{} under {}: {} sampled intervals, {} instrs covered{}",
                 size_name(spec.size),
@@ -118,10 +116,7 @@ pub fn main(mut args: Args) -> Result<(), UsageError> {
         );
         (label, capture_program(&program, harness.config(model), budget))
     };
-    write_doc(out, &cap.chrome_json);
-    if let Some(path) = &counters {
-        write_doc(path, &cap.counters_json);
-    }
+    write_json(out, &cap.chrome_json);
     println!(
         "{label}: {} retired, {} cycles{}{}",
         cap.retired,

@@ -18,6 +18,7 @@ use std::time::Instant;
 
 use tp_ckpt::FastForward;
 use tp_core::TraceProcessorConfig;
+use tp_stats::Json;
 use tp_workloads::{Size, Workload};
 
 use crate::sweep::CellConfig;
@@ -123,58 +124,28 @@ pub fn speedup_geomean(cells: &[FfwdBenchCell]) -> f64 {
     (log_sum / cells.len() as f64).exp()
 }
 
-fn num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "0.0".to_string()
-    }
-}
-
-/// Renders the benchmark as a JSON *object* (no trailing newline): the
-/// `sampled` section embedded in `BENCH_speed.json` and the body of the
-/// standalone `tp-bench/ffwd/v1` artifact. `indent` is the number of
-/// leading spaces on nested lines (the standalone document uses 2, the
-/// embedded section 4).
-pub fn ffwd_section_json(
-    cells: &[FfwdBenchCell],
-    size: Size,
-    config: CellConfig,
-    indent: usize,
-) -> String {
-    let pad = " ".repeat(indent);
-    let close = " ".repeat(indent.saturating_sub(2));
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("{pad}\"schema\": \"tp-bench/sampled/v2\",\n"));
-    s.push_str(&format!("{pad}\"suite_size\": \"{}\",\n", crate::speed::size_name(size)));
-    s.push_str(&format!("{pad}\"model\": \"{}\",\n", config.name()));
-    s.push_str(&format!("{pad}\"ffwd_speedup_geomean\": {},\n", num(speedup_geomean(cells))));
-    s.push_str(&format!("{pad}\"ffwd\": [\n"));
-    for (i, c) in cells.iter().enumerate() {
-        s.push_str(&format!("{pad}  {{"));
-        s.push_str(&format!("\"workload\": \"{}\", ", c.workload));
-        s.push_str(&format!("\"instrs\": {}, ", c.instrs));
-        s.push_str(&format!(
-            "\"ffwd_instrs_per_sec\": {{\"interpreter\": {}, \"superblock\": {}}}, ",
-            num(c.interp_ips),
-            num(c.superblock_ips)
-        ));
-        s.push_str(&format!("\"speedup\": {}, ", num(c.speedup())));
-        s.push_str(&format!("\"tpck_equal\": {}", c.tpck_equal));
-        s.push_str(if i + 1 == cells.len() { "}\n" } else { "},\n" });
-    }
-    s.push_str(&format!("{pad}]\n{close}}}"));
-    s
-}
-
-/// The standalone throughput artifact (`tp-bench/sampled/v2` schema, same
-/// object as the embedded section, newline-terminated) — what
-/// `tp baseline --sample --ffwd-bench` writes and CI uploads.
-pub fn ffwd_to_json(cells: &[FfwdBenchCell], size: Size, config: CellConfig) -> String {
-    let mut s = ffwd_section_json(cells, size, config, 2);
-    s.push('\n');
-    s
+/// The benchmark as the `tp-bench/ffwd/v1` document: what
+/// `tp baseline --sample --ffwd-bench` writes and CI uploads, and the
+/// `sampled` section `tp baseline --ffwd-bench` embeds in
+/// `BENCH_speed.json`.
+pub fn ffwd_to_json(cells: &[FfwdBenchCell], size: Size, config: CellConfig) -> Json {
+    let rows = cells.iter().map(|c| {
+        let ips = [("interpreter", c.interp_ips.into()), ("superblock", c.superblock_ips.into())];
+        Json::obj([
+            ("workload", c.workload.into()),
+            ("instrs", c.instrs.into()),
+            ("ffwd_instrs_per_sec", Json::obj(ips)),
+            ("speedup", c.speedup().into()),
+            ("tpck_equal", c.tpck_equal.into()),
+        ])
+    });
+    Json::obj([
+        ("schema", "tp-bench/ffwd/v1".into()),
+        ("suite_size", crate::speed::size_name(size).into()),
+        ("model", config.name().into()),
+        ("ffwd_speedup_geomean", speedup_geomean(cells).into()),
+        ("ffwd", Json::Arr(rows.collect())),
+    ])
 }
 
 #[cfg(test)]
@@ -206,12 +177,18 @@ mod tests {
         assert!(cells[0].instrs > 0);
         assert!(cells[0].interp_ips > 0.0 && cells[0].superblock_ips > 0.0);
         assert!(cells[0].tpck_equal);
-        let json = ffwd_to_json(&cells, Size::Tiny, mlb_ret);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"schema\": \"tp-bench/sampled/v2\""));
-        assert!(json.contains("\"ffwd_instrs_per_sec\""));
-        assert!(json.contains("\"interpreter\""));
-        assert!(json.contains("\"superblock\""));
-        assert!(json.contains("\"tpck_equal\": true"));
+        let text = ffwd_to_json(&cells, Size::Tiny, mlb_ret).to_string();
+        let doc = crate::json::parse(&text).expect("valid json");
+        assert_eq!(doc.str("schema"), Some("tp-bench/ffwd/v1"));
+        assert_eq!(doc.str("suite_size"), Some("tiny"));
+        assert_eq!(doc.str("model"), Some("MLB-RET"));
+        let rows = doc.get("ffwd").and_then(Json::as_array).expect("ffwd array");
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].str("workload"), Some("li"));
+        assert_eq!(rows[0].get("instrs").and_then(Json::as_u64), Some(cells[0].instrs));
+        let ips = rows[0].get("ffwd_instrs_per_sec").expect("ffwd_instrs_per_sec");
+        assert!(ips.num("interpreter").is_some_and(|x| x > 0.0));
+        assert!(ips.num("superblock").is_some_and(|x| x > 0.0));
+        assert_eq!(rows[0].get("tpck_equal").and_then(Json::as_bool), Some(true));
     }
 }

@@ -6,7 +6,6 @@
 pub mod cli;
 pub mod corpus;
 pub mod ffwd;
-pub mod json;
 pub mod metrics;
 pub mod paper;
 pub mod profile;
@@ -14,6 +13,10 @@ pub mod sampled;
 pub mod speed;
 pub mod sweep;
 pub mod tap;
+
+/// The harness documents' JSON value, writer and reader, re-exported for
+/// readers of `tp_bench` output.
+pub use tp_stats::json;
 
 pub use ffwd::{ffwd_to_json, run_ffwd_bench, speedup_geomean, FfwdBenchCell};
 pub use profile::{profile_branches, BranchClass, BranchProfile};

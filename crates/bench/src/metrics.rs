@@ -260,64 +260,49 @@ pub fn collect_phases(cell: &Cell<'_>, sample: &SampleConfig) -> PhaseReport {
     PhaseReport { workload: w.name, config: cell.config, points, cold, steady, halted: true }
 }
 
-fn num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "0.0".to_string()
-    }
-}
-
-/// Renders a collection grid (and optional phase reports) as the
+/// A collection grid (and optional phase reports) as the
 /// `tp-bench/metrics/v1` JSON document.
-pub fn metrics_to_json(cells: &[MetricsCell], size: Size, phases: &[PhaseReport]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"tp-bench/metrics/v1\",\n");
-    s.push_str(&format!("  \"suite_size\": \"{}\",\n", size_name(size)));
-    s.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        s.push_str("    {");
-        s.push_str(&format!("\"workload\": \"{}\", ", c.workload));
-        s.push_str(&format!("\"model\": \"{}\", ", c.config.name()));
-        s.push_str(&format!("\"instrs\": {}, ", c.stats.retired_instrs));
-        s.push_str(&format!("\"cycles\": {}, ", c.stats.cycles));
-        s.push_str(&format!("\"ipc\": {}, ", num(c.stats.ipc())));
-        s.push_str(&format!("\"wall_seconds\": {}, ", num(c.wall_seconds)));
-        s.push_str(&format!("\"instrs_per_sec\": {}, ", num(c.instrs_per_sec())));
-        s.push_str(&format!("\"metrics\": {}, ", c.metrics.to_json()));
-        s.push_str(&format!("\"profiler\": {}", c.profiler.to_json()));
-        s.push_str(if i + 1 == cells.len() { "}\n" } else { "},\n" });
+pub fn metrics_to_json(cells: &[MetricsCell], size: Size, phases: &[PhaseReport]) -> Json {
+    let rows = cells.iter().map(|c| {
+        Json::obj([
+            ("workload", c.workload.into()),
+            ("model", c.config.name().into()),
+            ("instrs", c.stats.retired_instrs.into()),
+            ("cycles", c.stats.cycles.into()),
+            ("ipc", c.stats.ipc().into()),
+            ("wall_seconds", c.wall_seconds.into()),
+            ("instrs_per_sec", c.instrs_per_sec().into()),
+            ("metrics", c.metrics.to_json()),
+            ("profiler", c.profiler.to_json()),
+        ])
+    });
+    let phase_rows = phases.iter().map(|p| {
+        let points = p.points.iter().map(|pt| {
+            Json::obj([
+                ("index", pt.index.into()),
+                ("phase", pt.phase.into()),
+                ("start_retired", pt.start_retired.into()),
+                ("instrs", pt.instrs.into()),
+                ("cycles", pt.cycles.into()),
+            ])
+        });
+        Json::obj([
+            ("workload", p.workload.into()),
+            ("model", p.config.name().into()),
+            ("points", Json::Arr(points.collect())),
+            ("cold", p.cold.to_json()),
+            ("steady", p.steady.to_json()),
+        ])
+    });
+    let mut doc = vec![
+        ("schema", "tp-bench/metrics/v1".into()),
+        ("suite_size", size_name(size).into()),
+        ("cells", Json::Arr(rows.collect())),
+    ];
+    if !phases.is_empty() {
+        doc.push(("phases", Json::Arr(phase_rows.collect())));
     }
-    s.push_str("  ]");
-    if phases.is_empty() {
-        s.push('\n');
-    } else {
-        s.push_str(",\n  \"phases\": [\n");
-        for (i, p) in phases.iter().enumerate() {
-            s.push_str("    {");
-            s.push_str(&format!("\"workload\": \"{}\", ", p.workload));
-            s.push_str(&format!("\"model\": \"{}\", ", p.config.name()));
-            s.push_str("\"points\": [");
-            for (j, pt) in p.points.iter().enumerate() {
-                s.push_str(&format!(
-                    "{{\"index\": {}, \"phase\": \"{}\", \"start_retired\": {}, \
-                     \"instrs\": {}, \"cycles\": {}}}",
-                    pt.index, pt.phase, pt.start_retired, pt.instrs, pt.cycles
-                ));
-                if j + 1 != p.points.len() {
-                    s.push_str(", ");
-                }
-            }
-            s.push_str("], ");
-            s.push_str(&format!("\"cold\": {}, ", p.cold.to_json()));
-            s.push_str(&format!("\"steady\": {}", p.steady.to_json()));
-            s.push_str(if i + 1 == phases.len() { "}\n" } else { "},\n" });
-        }
-        s.push_str("  ]\n");
-    }
-    s.push_str("}\n");
-    s
+    Json::obj(doc)
 }
 
 /// Renders a collection grid (and optional phase reports) as a markdown
@@ -563,15 +548,14 @@ fn diff_cell(k: &str, oc: &Json, nc: &Json, th: &DiffThresholds, report: &mut Di
         push_host_row(report, k, "instrs_per_sec", o, n, th);
     }
     // Distribution percentiles (metrics/v1 cells): deterministic — gated.
-    if let (Some(od), Some(nd)) = (dist_obj(oc), dist_obj(nc)) {
-        let mut names: Vec<&String> = od.keys().collect();
-        names.sort();
-        for name in names {
-            let Some(nh) = nd.get(name.as_str()) else {
+    if let (Some(od), Some(nd)) = (distributions(oc), distributions(nc)) {
+        let mut hists: Vec<&(String, Json)> = od.as_object().unwrap_or_default().iter().collect();
+        hists.sort_by(|a, b| a.0.cmp(&b.0));
+        for (name, oh) in hists {
+            let Some(nh) = nd.get(name) else {
                 report.warnings.push(format!("{k}: distribution {name} missing from candidate"));
                 continue;
             };
-            let oh = &od[name.as_str()];
             for p in ["p50", "p90", "p99"] {
                 let (Some(o), Some(n)) = (oh.num(p), nh.num(p)) else { continue };
                 let regressed = o > 0.0 && n > o * (1.0 + th.percentile_pct / 100.0);
@@ -627,11 +611,8 @@ fn push_host_row(
     }
 }
 
-fn dist_obj(cell: &Json) -> Option<&HashMap<String, Json>> {
-    match cell.get("metrics")?.get("distributions")? {
-        Json::Obj(m) => Some(m),
-        _ => None,
-    }
+fn distributions(cell: &Json) -> Option<&Json> {
+    cell.get("metrics")?.get("distributions").filter(|d| d.as_object().is_some())
 }
 
 #[cfg(test)]
@@ -688,7 +669,7 @@ mod tests {
     fn json_report_parses_back() {
         let w = by_name("compress", Size::Tiny).unwrap();
         let cells = vec![collect_cell(&cell(&w, CiModel::None))];
-        let doc = metrics_to_json(&cells, Size::Tiny, &[]);
+        let doc = metrics_to_json(&cells, Size::Tiny, &[]).to_string();
         let v = parse(&doc).expect("valid json");
         assert_eq!(v.str("schema"), Some("tp-bench/metrics/v1"));
         let cells = v.get("cells").and_then(Json::as_array).unwrap();
@@ -753,8 +734,8 @@ mod tests {
         let a = run_grid(&cells, 1, run_cell);
         let b = run_grid(&cells, 1, run_cell);
         let (da, db) = (
-            parse(&to_json(&a, Size::Tiny)).expect("valid"),
-            parse(&to_json(&b, Size::Tiny)).expect("valid"),
+            parse(&to_json(&a, Size::Tiny, None).to_string()).expect("valid"),
+            parse(&to_json(&b, Size::Tiny, None).to_string()).expect("valid"),
         );
         let r = diff_documents(&da, &db, &DiffThresholds::default()).unwrap();
         assert!(r.gate_ok(), "spurious regressions: {:?}", r.regressions);
@@ -765,7 +746,7 @@ mod tests {
         for c in &mut perturbed {
             c.stats.cycles = c.stats.cycles * 20 / 19;
         }
-        let dp = parse(&to_json(&perturbed, Size::Tiny)).expect("valid");
+        let dp = parse(&to_json(&perturbed, Size::Tiny, None).to_string()).expect("valid");
         let r = diff_documents(&da, &dp, &DiffThresholds::default()).unwrap();
         assert!(!r.gate_ok(), "a 5% IPC drop must trip the gate");
         assert_eq!(r.regressions.len(), 16, "{:?}", r.regressions);

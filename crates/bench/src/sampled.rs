@@ -24,7 +24,7 @@ use tp_ckpt::{Checkpoint, FastForward};
 use tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
 use tp_isa::func::MachineState;
 use tp_isa::{Frontend, Program};
-use tp_stats::RecoveryAttribution;
+use tp_stats::{Json, RecoveryAttribution};
 use tp_workloads::{suite, Size};
 
 use crate::sweep::{run_cell, run_grid, Cell, CellConfig};
@@ -360,53 +360,47 @@ pub fn run_sampled_cell(cell: &Cell<'_>, sample: &SampleConfig) -> SampledCell {
     }
 }
 
-/// Renders a sampled grid as the `tp-bench/sampled/v2` JSON document
-/// (see README "Sampled simulation"). v2 adds the per-cell fast-forward
+/// A sampled grid as the `tp-bench/sampled/v2` JSON document (see
+/// README "Sampled simulation"). v2 adds the per-cell fast-forward
 /// throughput (`ffwd_instrs_per_sec`, superblock engine) and its wall
-/// time; the interpreter-vs-superblock comparison lives in the `sampled`
-/// section of `BENCH_speed.json` (see [`crate::ffwd`]).
-pub fn sampled_to_json(cells: &[SampledCell], size: Size, sample: &SampleConfig) -> String {
-    fn num(x: f64) -> String {
-        if x.is_finite() {
-            format!("{x:.6}")
-        } else {
-            "0.0".to_string()
-        }
-    }
+/// time; the interpreter-vs-superblock comparison is the `tp-bench/ffwd/v1`
+/// document (see [`crate::ffwd`]).
+pub fn sampled_to_json(cells: &[SampledCell], size: Size, sample: &SampleConfig) -> Json {
     let total_wall: f64 = cells.iter().map(|c| c.run.wall_seconds).sum();
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"tp-bench/sampled/v2\",\n");
-    s.push_str(&format!("  \"suite_size\": \"{}\",\n", crate::speed::size_name(size)));
-    s.push_str(&format!(
-        "  \"sample\": {{\"warmup\": {}, \"interval\": {}, \"skip\": {}}},\n",
-        sample.warmup, sample.interval, sample.skip
-    ));
-    s.push_str(&format!("  \"wall_seconds_total\": {},\n", num(total_wall)));
-    s.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
+    let rows = cells.iter().map(|c| {
         let r = &c.run;
-        s.push_str("    {");
-        s.push_str(&format!("\"workload\": \"{}\", ", c.workload));
-        s.push_str(&format!("\"model\": \"{}\", ", c.config.name()));
-        s.push_str(&format!("\"total_instrs\": {}, ", r.total_instrs));
-        s.push_str(&format!("\"intervals\": {}, ", r.intervals.len()));
-        s.push_str(&format!("\"detailed_instrs\": {}, ", r.detailed_instrs));
-        s.push_str(&format!("\"warmup_instrs\": {}, ", r.warmup_instrs));
-        s.push_str(&format!("\"ffwd_instrs\": {}, ", r.ffwd_instrs));
-        s.push_str(&format!("\"ffwd_wall_seconds\": {}, ", num(r.ffwd_wall_seconds)));
-        s.push_str(&format!("\"ffwd_instrs_per_sec\": {}, ", num(r.ffwd_instrs_per_sec())));
-        s.push_str(&format!("\"ipc_estimate\": {}, ", num(r.ipc_estimate())));
-        s.push_str(&format!("\"ipc_ci95\": {}, ", num(r.ipc_ci95())));
-        s.push_str(&format!("\"estimated_cycles\": {}, ", num(r.estimated_cycles())));
-        s.push_str(&format!("\"detailed_fraction\": {}, ", num(r.detailed_fraction())));
-        s.push_str(&format!("\"wall_seconds\": {}, ", num(r.wall_seconds)));
-        s.push_str("\"attribution\": ");
-        s.push_str(&r.attribution.to_json());
-        s.push_str(if i + 1 == cells.len() { "}\n" } else { "},\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
+        Json::obj([
+            ("workload", c.workload.into()),
+            ("model", c.config.name().into()),
+            ("total_instrs", r.total_instrs.into()),
+            ("intervals", r.intervals.len().into()),
+            ("detailed_instrs", r.detailed_instrs.into()),
+            ("warmup_instrs", r.warmup_instrs.into()),
+            ("ffwd_instrs", r.ffwd_instrs.into()),
+            ("ffwd_wall_seconds", r.ffwd_wall_seconds.into()),
+            ("ffwd_instrs_per_sec", r.ffwd_instrs_per_sec().into()),
+            ("ipc_estimate", r.ipc_estimate().into()),
+            ("ipc_ci95", r.ipc_ci95().into()),
+            ("estimated_cycles", r.estimated_cycles().into()),
+            ("detailed_fraction", r.detailed_fraction().into()),
+            ("wall_seconds", r.wall_seconds.into()),
+            ("attribution", r.attribution.to_json()),
+        ])
+    });
+    Json::obj([
+        ("schema", "tp-bench/sampled/v2".into()),
+        ("suite_size", crate::speed::size_name(size).into()),
+        (
+            "sample",
+            Json::obj([
+                ("warmup", sample.warmup.into()),
+                ("interval", sample.interval.into()),
+                ("skip", sample.skip.into()),
+            ]),
+        ),
+        ("wall_seconds_total", total_wall.into()),
+        ("cells", Json::Arr(rows.collect())),
+    ])
 }
 
 /// One workload's sampled-vs-full comparison.
@@ -530,5 +524,21 @@ mod tests {
         assert!((run.ipc_estimate() - 1000.0 / 550.0).abs() < 1e-12);
         assert_eq!(run.ipc_ci95(), 0.0, "one steady interval has no spread");
         assert!((run.detailed_fraction() - 0.25).abs() < 1e-12);
+        // The document carries the same figures, read back by key.
+        let cell = SampledCell { workload: "x", config: CellConfig::Model(CiModel::Fg), run };
+        let sample = SampleConfig::dense();
+        let text = sampled_to_json(&[cell], Size::Tiny, &sample).to_string();
+        let doc = crate::json::parse(&text).expect("valid json");
+        assert_eq!(doc.str("schema"), Some("tp-bench/sampled/v2"));
+        assert_eq!(doc.str("suite_size"), Some("tiny"));
+        let warmup = doc.get("sample").and_then(|s| s.get("warmup")).and_then(Json::as_u64);
+        assert_eq!(warmup, Some(sample.warmup));
+        let rows = doc.get("cells").and_then(Json::as_array).expect("cells array");
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].str("model"), Some("FG"));
+        assert_eq!(rows[0].get("intervals").and_then(Json::as_u64), Some(2));
+        assert_eq!(rows[0].get("total_instrs").and_then(Json::as_u64), Some(1000));
+        assert_eq!(rows[0].num("detailed_fraction"), Some(0.25));
+        assert_eq!(rows[0].get("attribution").and_then(Json::as_array), Some(&[][..]));
     }
 }

@@ -10,10 +10,11 @@
 //! introspection (the `tp-bench/speed/v2` additions that make per-cell
 //! regressions diagnosable), and the *simulator's* throughput (wall
 //! seconds, retired instructions per second — the perf trajectory the
-//! ROADMAP tracks). The JSON emitter is hand-rolled because the build is
-//! offline.
+//! ROADMAP tracks).
 
 use tp_core::CiModel;
+use tp_predict::TracePredictorStats;
+use tp_stats::Json;
 use tp_workloads::{all_workloads, rv_suite, suite, Size, Workload};
 
 use crate::sweep::{CellConfig, CellRun};
@@ -121,81 +122,62 @@ pub fn parse_size(s: &str) -> Option<Size> {
     }
 }
 
-fn num(x: f64) -> String {
-    // JSON number: finite, fixed precision (the digest-stable part of the
-    // file is the integer counters; rates are derived convenience values).
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "0.0".to_string()
-    }
+/// The next-trace predictor introspection block shared by
+/// `BENCH_speed.json` cells and `tp cistats --json`.
+pub fn predictor_json(p: &TracePredictorStats) -> Json {
+    Json::obj([
+        ("predictions", p.predictions.into()),
+        ("path_hits", p.path_hits.into()),
+        ("simple_hits", p.simple_hits.into()),
+        ("no_prediction", p.no_prediction.into()),
+        ("path_tag_evictions", p.path_tag_evictions.into()),
+        ("path_repoints", p.path_repoints.into()),
+        ("simple_tag_evictions", p.simple_tag_evictions.into()),
+        ("simple_repoints", p.simple_repoints.into()),
+    ])
 }
 
-/// Renders the grid as the `BENCH_speed.json` document
-/// (`tp-bench/speed/v2` schema; see README "Benchmarking").
-pub fn to_json(cells: &[CellRun], size: Size) -> String {
-    to_json_with_sampled(cells, size, None)
-}
-
-/// [`to_json`] with an optional pre-rendered `sampled` section — the
-/// fast-forward throughput report from [`crate::ffwd::ffwd_section_json`]
-/// (a JSON object, embedded verbatim the way attribution ledgers are).
-pub fn to_json_with_sampled(cells: &[CellRun], size: Size, sampled: Option<&str>) -> String {
+/// The grid as the `BENCH_speed.json` document (`tp-bench/speed/v2`
+/// schema; see README "Benchmarking"), with the optional `sampled`
+/// section — the fast-forward throughput report of
+/// [`crate::ffwd::ffwd_to_json`].
+pub fn to_json(cells: &[CellRun], size: Size, sampled: Option<Json>) -> Json {
     let total_wall: f64 = cells.iter().map(|c| c.wall_seconds).sum();
     let total_instrs: u64 = cells.iter().map(|c| c.stats.retired_instrs).sum();
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"tp-bench/speed/v2\",\n");
-    s.push_str(&format!("  \"suite_size\": \"{}\",\n", size_name(size)));
-    s.push_str(&format!("  \"wall_seconds_total\": {},\n", num(total_wall)));
-    s.push_str(&format!("  \"retired_instrs_total\": {total_instrs},\n"));
-    s.push_str(&format!(
-        "  \"instrs_per_sec_total\": {},\n",
-        num(if total_wall > 0.0 { total_instrs as f64 / total_wall } else { 0.0 })
-    ));
-    if let Some(section) = sampled {
-        s.push_str(&format!("  \"sampled\": {section},\n"));
-    }
-    s.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
+    let rows = cells.iter().map(|c| {
         let st = &c.stats;
-        s.push_str("    {");
-        s.push_str(&format!("\"workload\": \"{}\", ", c.workload));
-        s.push_str(&format!("\"model\": \"{}\", ", c.config.name()));
-        s.push_str(&format!("\"pes\": {}, ", c.pes));
-        s.push_str(&format!("\"instrs\": {}, ", st.retired_instrs));
-        s.push_str(&format!("\"cycles\": {}, ", st.cycles));
-        s.push_str(&format!("\"ipc\": {}, ", num(st.ipc())));
-        s.push_str(&format!("\"wall_seconds\": {}, ", num(c.wall_seconds)));
-        s.push_str(&format!("\"instrs_per_sec\": {}, ", num(c.instrs_per_sec())));
-        s.push_str(&format!("\"branch_misp_rate_pct\": {}, ", num(st.branch_misp_rate())));
-        s.push_str(&format!("\"branch_misp_per_kilo\": {}, ", num(st.branch_misp_per_kilo())));
-        s.push_str(&format!("\"trace_misp_rate_pct\": {}, ", num(st.trace_misp_rate())));
-        s.push_str(&format!("\"trace_misp_per_kilo\": {}, ", num(st.trace_misp_per_kilo())));
-        s.push_str(&format!("\"avg_trace_len\": {}, ", num(st.avg_trace_len())));
-        s.push_str(&format!("\"dispatched_traces\": {}, ", st.dispatched_traces));
-        s.push_str(&format!("\"squashed_traces\": {}, ", st.squashed_traces));
-        s.push_str(&format!("\"reissue_events\": {}, ", st.reissue_events));
-        let p = &c.predictor;
-        s.push_str(&format!(
-            "\"predictor\": {{\"predictions\": {}, \"path_hits\": {}, \"simple_hits\": {}, \
-             \"no_prediction\": {}, \"path_tag_evictions\": {}, \"path_repoints\": {}, \
-             \"simple_tag_evictions\": {}, \"simple_repoints\": {}}}, ",
-            p.predictions,
-            p.path_hits,
-            p.simple_hits,
-            p.no_prediction,
-            p.path_tag_evictions,
-            p.path_repoints,
-            p.simple_tag_evictions,
-            p.simple_repoints
-        ));
-        s.push_str("\"attribution\": ");
-        s.push_str(&c.attribution.to_json());
-        s.push_str(if i + 1 == cells.len() { "}\n" } else { "},\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
+        Json::obj([
+            ("workload", c.workload.into()),
+            ("model", c.config.name().into()),
+            ("pes", c.pes.into()),
+            ("instrs", st.retired_instrs.into()),
+            ("cycles", st.cycles.into()),
+            ("ipc", st.ipc().into()),
+            ("wall_seconds", c.wall_seconds.into()),
+            ("instrs_per_sec", c.instrs_per_sec().into()),
+            ("branch_misp_rate_pct", st.branch_misp_rate().into()),
+            ("branch_misp_per_kilo", st.branch_misp_per_kilo().into()),
+            ("trace_misp_rate_pct", st.trace_misp_rate().into()),
+            ("trace_misp_per_kilo", st.trace_misp_per_kilo().into()),
+            ("avg_trace_len", st.avg_trace_len().into()),
+            ("dispatched_traces", st.dispatched_traces.into()),
+            ("squashed_traces", st.squashed_traces.into()),
+            ("reissue_events", st.reissue_events.into()),
+            ("predictor", predictor_json(&c.predictor)),
+            ("attribution", c.attribution.to_json()),
+        ])
+    });
+    let ips = if total_wall > 0.0 { total_instrs as f64 / total_wall } else { 0.0 };
+    let mut doc = vec![
+        ("schema", "tp-bench/speed/v2".into()),
+        ("suite_size", size_name(size).into()),
+        ("wall_seconds_total", total_wall.into()),
+        ("retired_instrs_total", total_instrs.into()),
+        ("instrs_per_sec_total", ips.into()),
+    ];
+    doc.extend(sampled.map(|s| ("sampled", s)));
+    doc.push(("cells", Json::Arr(rows.collect())));
+    Json::obj(doc)
 }
 
 #[cfg(test)]
@@ -217,19 +199,30 @@ mod tests {
         let cells = run_tiny(&[CiModel::None, CiModel::Fg], &[16]);
         assert_eq!(cells.len(), 16, "two cells per workload");
         assert!(cells.iter().all(|c| c.stats.retired_instrs > 0 && c.stats.cycles > 0));
-        let json = to_json(&cells, Size::Tiny);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"schema\": \"tp-bench/speed/v2\""));
-        assert!(json.contains("\"suite_size\": \"tiny\""));
-        assert!(json.contains("\"workload\": \"compress\""));
-        assert!(json.contains("\"model\": \"base\""));
-        assert!(json.contains("\"pes\": 16"));
-        assert!(json.contains("\"predictor\""));
-        assert!(json.contains("\"attribution\""));
-        // 8 workloads x 2 models.
-        assert_eq!(json.matches("\"workload\"").count(), 16);
+        let doc = crate::json::parse(&to_json(&cells, Size::Tiny, None).to_string()).unwrap();
+        assert_eq!(doc.str("schema"), Some("tp-bench/speed/v2"));
+        assert_eq!(doc.str("suite_size"), Some("tiny"));
+        assert!(doc.get("sampled").is_none());
+        let rows = doc.get("cells").and_then(Json::as_array).expect("cells array");
+        // 8 workloads x 2 models, in grid order.
+        assert_eq!(rows.len(), 16);
+        for (row, c) in rows.iter().zip(&cells) {
+            assert_eq!(row.str("workload"), Some(c.workload));
+            assert_eq!(row.str("model"), Some(c.config.name()));
+            assert_eq!(row.get("pes").and_then(Json::as_u64), Some(16));
+            assert_eq!(row.get("cycles").and_then(Json::as_u64), Some(c.stats.cycles));
+            let predictions = row.get("predictor").and_then(|p| p.get("predictions"));
+            assert_eq!(predictions.and_then(Json::as_u64), Some(c.predictor.predictions));
+        }
+        assert!(rows.iter().any(|r| r.str("workload") == Some("compress")));
+        assert!(rows.iter().any(|r| r.str("model") == Some("base")));
         // An FG cell on a branchy workload has attribution rows.
-        assert!(json.contains("fgci-repair"), "{json}");
+        let mut outcomes = rows
+            .iter()
+            .filter_map(|r| r.get("attribution")?.as_array())
+            .flatten()
+            .filter_map(|a| a.str("outcome"));
+        assert!(outcomes.any(|o| o == "fgci-repair"));
     }
 
     #[test]

@@ -1,25 +1,24 @@
-//! Event capture: attach the `tp-events` sinks to a simulator, run it,
-//! and render the captured documents. Shared by `tp tracetap` and
-//! `tp fuzz`'s divergence capture.
+//! Event capture: attach the `tp-events` Chrome-trace sink to a
+//! simulator, run it, and keep the captured document. Shared by
+//! `tp tracetap` and `tp fuzz`'s divergence capture.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use tp_ckpt::{Checkpoint, FastForward};
 use tp_core::{TraceProcessor, TraceProcessorConfig};
-use tp_events::{ChromeTraceSink, CounterTimelineSink};
+use tp_events::ChromeTraceSink;
 use tp_isa::func::MachineState;
 use tp_isa::{Frontend, Program};
+use tp_stats::Json;
 
 use crate::sampled::SampleConfig;
 
-/// A finished event capture: both rendered JSON documents plus the run's
+/// A finished event capture: the Chrome trace document plus the run's
 /// headline numbers.
 #[derive(Clone, Debug)]
 pub struct Capture {
     /// Chrome trace-event JSON (loads in perfetto / `chrome://tracing`).
-    pub chrome_json: String,
-    /// Compact counter-timeline JSON (`tp-events/counters/v1`).
-    pub counters_json: String,
+    pub chrome_json: Json,
     /// How the run ended: `None` for a clean stop, `Some(description)` for
     /// a simulator error or panic. The capture up to the failure point
     /// stands either way — that is the whole point of a trace tap.
@@ -33,13 +32,12 @@ pub struct Capture {
     pub cycles: u64,
 }
 
-/// Attaches Chrome-trace and counter sinks to `sim`, runs up to `interval`
-/// more retired instructions, and renders the capture. The bus is always
+/// Attaches a Chrome-trace sink to `sim`, runs up to `interval` more
+/// retired instructions, and returns the capture. The bus is always
 /// released, so a simulator error — or even a panic — mid-run still yields
 /// the events recorded up to that point.
 pub fn capture_interval(sim: &mut TraceProcessor<'_>, interval: u64) -> Capture {
     sim.attach_event_sink(Box::new(ChromeTraceSink::new()));
-    sim.attach_event_sink(Box::new(CounterTimelineSink::new()));
     let outcome = catch_unwind(AssertUnwindSafe(|| sim.run_interval(interval)));
     let error = match outcome {
         Ok(Ok(_)) => None,
@@ -48,10 +46,8 @@ pub fn capture_interval(sim: &mut TraceProcessor<'_>, interval: u64) -> Capture 
     };
     let mut bus = sim.release_event_bus();
     let chrome = bus.take::<ChromeTraceSink>().expect("attached above");
-    let counters = bus.take::<CounterTimelineSink>().expect("attached above");
     Capture {
-        chrome_json: chrome.to_json(),
-        counters_json: counters.to_json(),
+        chrome_json: chrome.into_json(),
         error,
         halted: sim.halted(),
         retired: sim.stats().retired_instrs,
@@ -71,7 +67,7 @@ pub fn capture_program(program: &Program, cfg: TraceProcessorConfig, budget: u64
 #[derive(Clone, Debug)]
 pub struct SampledCapture {
     /// The Chrome trace-event JSON document.
-    pub chrome_json: String,
+    pub chrome_json: Json,
     /// Detailed intervals captured.
     pub intervals: u64,
     /// Total program instructions covered (detailed + fast-forwarded).
@@ -166,7 +162,7 @@ pub fn capture_sampled(
         base += ff.retired() - before;
     }
     SampledCapture {
-        chrome_json: sink.to_json(),
+        chrome_json: sink.into_json(),
         intervals: round,
         total_instrs: ff.retired(),
         halted: halted || ff.halted(),
@@ -302,13 +298,21 @@ mod tests {
     use tp_workloads::{by_name, Size};
 
     #[test]
-    fn capture_renders_both_documents() {
+    fn capture_renders_the_chrome_trace() {
         let w = by_name("compress", Size::Tiny).unwrap();
         let cfg = TraceProcessorConfig::paper(CiModel::MlbRet);
         let cap = capture_program(&w.program, cfg, 2_000);
         assert!(cap.error.is_none(), "{:?}", cap.error);
         assert!(cap.retired > 0);
-        assert!(cap.chrome_json.contains("\"traceEvents\""));
-        assert!(cap.counters_json.contains("tp-events/counters/v1"));
+        let doc = crate::json::parse(&cap.chrome_json.to_string()).expect("valid json");
+        let rows = doc.get("traceEvents").and_then(Json::as_array).expect("traceEvents array");
+        assert!(rows.iter().any(|r| r.str("ph") == Some("B")));
+        // Metadata rows name the PEs and the fetch/cgci/counters tracks.
+        let names: Vec<&str> = rows
+            .iter()
+            .filter(|r| r.str("ph") == Some("M"))
+            .filter_map(|r| r.get("args")?.str("name"))
+            .collect();
+        assert!(names.contains(&"PE 0") && names.contains(&"counters"), "{names:?}");
     }
 }

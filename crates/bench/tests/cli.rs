@@ -25,6 +25,10 @@ fn rejected_command_lines_exit_with_status_2() {
         (&["ckpt"], "expected create|inspect|verify|smoke"),
         (&["tracetap", "--size", "tiny"], "exactly one of --workload, --ckpt, --fuzz-seed"),
         (&["tracetap", "--fuzz-seed", "1", "--model", "base(fg)"], "five CI models"),
+        (
+            &["tracetap", "--workload", "go", "--counters", "c.json"],
+            "unknown argument \"--counters\"",
+        ),
         (&["fuzz", "--count", "many"], "--count: cannot parse"),
         (&["fuzz", "--machine", "huge"], "unknown --machine"),
         (&["sweep", "tiny"], "unexpected argument \"tiny\""),

@@ -1,7 +1,7 @@
 //! Chrome trace-event JSON sink: loads directly in perfetto or
 //! `chrome://tracing`.
 //!
-//! Mapping (JSON hand-rolled; the build is offline):
+//! Mapping (rows are [`Json`] values, rendered by `tp_stats::json`):
 //!
 //! * one *pid* per processing element (pid = PE index + 1), named
 //!   `PE <n>` via process-name metadata;
@@ -20,6 +20,8 @@
 
 use std::any::Any;
 
+use tp_stats::Json;
+
 use crate::bus::EventSink;
 use crate::event::{CategoryMask, Event};
 
@@ -32,11 +34,11 @@ const COUNTER_PID: u64 = 102;
 /// pid hosting sampling-phase markers (detailed-interval stamps).
 const SAMPLE_PID: u64 = 103;
 
-/// The Chrome trace-event sink. Collects pre-rendered event objects;
-/// [`ChromeTraceSink::to_json`] wraps them into the final document.
+/// The Chrome trace-event sink. Collects event rows;
+/// [`ChromeTraceSink::into_json`] wraps them into the final document.
 #[derive(Debug, Default)]
 pub struct ChromeTraceSink {
-    events: Vec<String>,
+    events: Vec<Json>,
     /// Per-PE open residency span: (start cycle, trace start PC).
     open: Vec<Option<(u64, u32)>>,
     /// The open CGCI attempt span, if any (at most one attempt pends).
@@ -80,12 +82,8 @@ impl ChromeTraceSink {
     pub fn mark_interval(&mut self, index: u64, start_retired: u64) {
         self.sampled = true;
         let ts = self.base;
-        self.instant(
-            ts,
-            SAMPLE_PID,
-            &format!("interval {index}"),
-            &format!("\"interval\":{index},\"start_retired\":{start_retired}"),
-        );
+        let args = [("interval", index.into()), ("start_retired", start_retired.into())];
+        self.emit("i", ts, SAMPLE_PID, &format!("interval {index}"), args);
     }
 
     /// Whether nothing has been collected.
@@ -93,35 +91,28 @@ impl ChromeTraceSink {
         self.events.is_empty()
     }
 
-    fn push(&mut self, obj: String) {
-        self.events.push(obj);
-    }
-
-    fn span_begin(&mut self, ts: u64, pid: u64, name: &str, args: &str) {
-        self.push(format!(
-            "{{\"name\":\"{name}\",\"ph\":\"B\",\"ts\":{ts},\"pid\":{pid},\"tid\":0,\
-             \"args\":{{{args}}}}}"
-        ));
-    }
-
-    fn span_end(&mut self, ts: u64, pid: u64, args: &str) {
-        self.push(format!(
-            "{{\"ph\":\"E\",\"ts\":{ts},\"pid\":{pid},\"tid\":0,\"args\":{{{args}}}}}"
-        ));
-    }
-
-    fn instant(&mut self, ts: u64, pid: u64, name: &str, args: &str) {
-        self.push(format!(
-            "{{\"name\":\"{name}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":{pid},\
-             \"tid\":0,\"args\":{{{args}}}}}"
-        ));
-    }
-
-    fn counter(&mut self, ts: u64, name: &str, args: &str) {
-        self.push(format!(
-            "{{\"name\":\"{name}\",\"ph\":\"C\",\"ts\":{ts},\"pid\":{COUNTER_PID},\"tid\":0,\
-             \"args\":{{{args}}}}}"
-        ));
+    /// Collects one trace-event row: phase `ph` at `ts` on `pid`'s track,
+    /// carrying `name` (span ends pass `""` and carry none) and `args`;
+    /// instants are thread-scoped.
+    fn emit<'a>(
+        &mut self,
+        ph: &str,
+        ts: u64,
+        pid: u64,
+        name: &str,
+        args: impl IntoIterator<Item = (&'a str, Json)>,
+    ) {
+        let mut row = Vec::with_capacity(7);
+        if !name.is_empty() {
+            row.push(("name", name.into()));
+        }
+        row.push(("ph", ph.into()));
+        if ph == "i" {
+            row.push(("s", "t".into()));
+        }
+        row.extend([("ts", ts.into()), ("pid", pid.into()), ("tid", 0u64.into())]);
+        row.push(("args", Json::obj(args)));
+        self.events.push(Json::obj(row));
     }
 
     fn pe_pid(pe: u8) -> u64 {
@@ -136,34 +127,25 @@ impl ChromeTraceSink {
         &mut self.open[i]
     }
 
-    /// Renders the collected events as a complete Chrome trace-event
-    /// JSON document (object form, `traceEvents` array). Process-name
-    /// metadata rows lead the array so every pid is labelled.
-    pub fn to_json(&self) -> String {
-        let mut rows: Vec<String> = Vec::with_capacity(self.events.len() + self.open.len() + 3);
-        let meta = |pid: u64, name: &str| {
-            format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"ts\":0,\"pid\":{pid},\"tid\":0,\
-                 \"args\":{{\"name\":\"{name}\"}}}}"
-            )
-        };
-        for pe in 0..self.open.len() {
-            rows.push(meta(Self::pe_pid(pe as u8), &format!("PE {pe}")));
-        }
-        rows.push(meta(FETCH_PID, "fetch"));
-        rows.push(meta(CGCI_PID, "cgci"));
-        rows.push(meta(COUNTER_PID, "counters"));
+    /// The collected events as a complete Chrome trace-event JSON
+    /// document (object form, `traceEvents` array). Process-name metadata
+    /// rows lead the array so every pid is labelled.
+    pub fn into_json(mut self) -> Json {
+        let mut tracks: Vec<(u64, String)> =
+            (0..self.open.len()).map(|pe| (Self::pe_pid(pe as u8), format!("PE {pe}"))).collect();
+        tracks.extend(
+            [(FETCH_PID, "fetch"), (CGCI_PID, "cgci"), (COUNTER_PID, "counters")]
+                .map(|(pid, name)| (pid, name.to_string())),
+        );
         if self.sampled {
-            rows.push(meta(SAMPLE_PID, "sampling"));
+            tracks.push((SAMPLE_PID, "sampling".into()));
         }
-        rows.extend(self.events.iter().cloned());
-        let mut s = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-        for (i, row) in rows.iter().enumerate() {
-            s.push_str(row);
-            s.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
+        let events = std::mem::take(&mut self.events);
+        for (pid, name) in tracks {
+            self.emit("M", 0, pid, "process_name", [("name", name.into())]);
         }
-        s.push_str("]}\n");
-        s
+        self.events.extend(events);
+        Json::obj([("displayTimeUnit", "ms".into()), ("traceEvents", Json::Arr(self.events))])
     }
 }
 
@@ -179,130 +161,97 @@ impl EventSink for ChromeTraceSink {
         match *event {
             Event::TraceFetched { pc, len, source } => {
                 let name = format!("fetch {}", source.label());
-                self.instant(cycle, FETCH_PID, &name, &format!("\"pc\":{pc},\"len\":{len}"));
+                self.emit("i", cycle, FETCH_PID, &name, [("pc", pc.into()), ("len", len.into())]);
             }
             Event::TraceDispatched { pe, pc, len, cgci_insert } => {
                 if self.open_slot(pe).take().is_some() {
                     // A dangling span means a missed close upstream; end
                     // it so the B/E stream stays balanced regardless.
-                    self.span_end(cycle, Self::pe_pid(pe), "");
+                    self.emit("E", cycle, Self::pe_pid(pe), "", []);
                 }
                 *self.open_slot(pe) = Some((cycle, pc));
-                self.span_begin(
-                    cycle,
-                    Self::pe_pid(pe),
-                    &format!("trace@{pc}"),
-                    &format!("\"pc\":{pc},\"len\":{len},\"cgci_insert\":{cgci_insert}"),
-                );
+                let args =
+                    [("pc", pc.into()), ("len", len.into()), ("cgci_insert", cgci_insert.into())];
+                self.emit("B", cycle, Self::pe_pid(pe), &format!("trace@{pc}"), args);
             }
             Event::TraceRetired { pe, pc, len } => {
                 if self.open_slot(pe).take().is_some() {
-                    self.span_end(
-                        cycle,
-                        Self::pe_pid(pe),
-                        &format!("\"end\":\"retired\",\"pc\":{pc},\"len\":{len}"),
-                    );
+                    let args = [("end", "retired".into()), ("pc", pc.into()), ("len", len.into())];
+                    self.emit("E", cycle, Self::pe_pid(pe), "", args);
                 }
             }
             Event::TraceSquashed { pe, pc, drained } => {
                 if self.open_slot(pe).take().is_some() {
                     let kind = if drained { "drained" } else { "squashed" };
-                    self.span_end(
-                        cycle,
-                        Self::pe_pid(pe),
-                        &format!("\"end\":\"{kind}\",\"pc\":{pc}"),
-                    );
+                    let args = [("end", kind.into()), ("pc", pc.into())];
+                    self.emit("E", cycle, Self::pe_pid(pe), "", args);
                 }
                 if !drained {
-                    self.instant(cycle, Self::pe_pid(pe), "squash", &format!("\"pc\":{pc}"));
+                    self.emit("i", cycle, Self::pe_pid(pe), "squash", [("pc", pc.into())]);
                 }
             }
             Event::TraceRepaired { pe, branch_pc } => {
-                self.instant(
-                    cycle,
-                    Self::pe_pid(pe),
-                    "repair",
-                    &format!("\"branch_pc\":{branch_pc}"),
-                );
+                let args = [("branch_pc", branch_pc.into())];
+                self.emit("i", cycle, Self::pe_pid(pe), "repair", args);
             }
             Event::TracePreserved { pe, pc } => {
-                self.instant(cycle, Self::pe_pid(pe), "preserved", &format!("\"pc\":{pc}"));
+                self.emit("i", cycle, Self::pe_pid(pe), "preserved", [("pc", pc.into())]);
             }
             Event::TraceRedispatched { pe, pc } => {
-                self.instant(cycle, Self::pe_pid(pe), "redispatch", &format!("\"pc\":{pc}"));
+                self.emit("i", cycle, Self::pe_pid(pe), "redispatch", [("pc", pc.into())]);
             }
             Event::MispredictDetected { pe, slot, pc, kind } => {
                 let name = format!("mispredict {}", kind.label());
-                self.instant(
-                    cycle,
-                    Self::pe_pid(pe),
-                    &name,
-                    &format!("\"pc\":{pc},\"slot\":{slot}"),
-                );
+                let args = [("pc", pc.into()), ("slot", slot.into())];
+                self.emit("i", cycle, Self::pe_pid(pe), &name, args);
             }
             Event::RecoveryStarted { pe, branch_pc, plan } => {
                 let name = format!("recovery {}", plan.label());
-                self.instant(cycle, Self::pe_pid(pe), &name, &format!("\"branch_pc\":{branch_pc}"));
+                self.emit("i", cycle, Self::pe_pid(pe), &name, [("branch_pc", branch_pc.into())]);
             }
             Event::RecoveryApplied { pe, branch_pc, .. } => {
-                self.instant(
-                    cycle,
-                    Self::pe_pid(pe),
-                    "recovery apply",
-                    &format!("\"branch_pc\":{branch_pc}"),
-                );
+                let args = [("branch_pc", branch_pc.into())];
+                self.emit("i", cycle, Self::pe_pid(pe), "recovery apply", args);
             }
             Event::RecoveryAbandoned { pe } => {
-                self.instant(cycle, Self::pe_pid(pe), "recovery abandoned", "");
+                self.emit("i", cycle, Self::pe_pid(pe), "recovery abandoned", []);
             }
             Event::CgciOpened { class, heuristic, branch_pc, reconv_pc } => {
                 if self.cgci_open {
-                    self.span_end(cycle, CGCI_PID, "");
+                    self.emit("E", cycle, CGCI_PID, "", []);
                 }
                 self.cgci_open = true;
                 let name = format!("cgci {}/{}", class.label(), heuristic.label());
-                self.span_begin(
-                    cycle,
-                    CGCI_PID,
-                    &name,
-                    &format!("\"branch_pc\":{branch_pc},\"reconv_pc\":{reconv_pc}"),
-                );
+                let args = [("branch_pc", branch_pc.into()), ("reconv_pc", reconv_pc.into())];
+                self.emit("B", cycle, CGCI_PID, &name, args);
             }
             Event::CgciClosed { outcome, squashed, preserved, .. } => {
                 if self.cgci_open {
                     self.cgci_open = false;
-                    self.span_end(
-                        cycle,
-                        CGCI_PID,
-                        &format!(
-                            "\"outcome\":\"{}\",\"squashed\":{squashed},\
-                             \"preserved\":{preserved}",
-                            outcome.label()
-                        ),
-                    );
+                    let args = [
+                        ("outcome", outcome.label().into()),
+                        ("squashed", squashed.into()),
+                        ("preserved", preserved.into()),
+                    ];
+                    self.emit("E", cycle, CGCI_PID, "", args);
                 }
             }
             Event::HeadStall { pe, reason } => {
                 let name = format!("stall {}", reason.label());
-                self.instant(cycle, Self::pe_pid(pe), &name, "");
+                self.emit("i", cycle, Self::pe_pid(pe), &name, []);
             }
             Event::WindowSample { occupied, fetch_queue } => {
-                self.counter(
-                    cycle,
-                    "window",
-                    &format!("\"occupied\":{occupied},\"fetch_queue\":{fetch_queue}"),
-                );
+                let args = [("occupied", occupied.into()), ("fetch_queue", fetch_queue.into())];
+                self.emit("C", cycle, COUNTER_PID, "window", args);
             }
             Event::IssueSample { issued, reissued } => {
-                self.counter(
-                    cycle,
-                    "issue",
-                    &format!("\"issued\":{issued},\"reissued\":{reissued}"),
-                );
+                let args = [("issued", issued.into()), ("reissued", reissued.into())];
+                self.emit("C", cycle, COUNTER_PID, "issue", args);
             }
             Event::BusSample { bus, waiting, granted } => {
                 let name = format!("bus-{}", bus.label());
-                self.counter(cycle, &name, &format!("\"waiting\":{waiting},\"granted\":{granted}"));
+                let args = [("waiting", waiting.into()), ("granted", granted.into())];
+                self.emit("C", cycle, COUNTER_PID, &name, args);
             }
         }
     }
@@ -321,6 +270,21 @@ mod tests {
     use super::*;
     use crate::event::FetchPath;
 
+    /// The rendered document's `traceEvents`, read back through the parser.
+    fn rows(sink: ChromeTraceSink) -> Vec<Json> {
+        let doc = tp_stats::json::parse(&sink.into_json().to_string()).expect("valid json");
+        assert_eq!(doc.str("displayTimeUnit"), Some("ms"));
+        doc.get("traceEvents").and_then(Json::as_array).expect("traceEvents array").to_vec()
+    }
+
+    fn count(rows: &[Json], key: &str, value: &str) -> usize {
+        rows.iter().filter(|r| r.str(key) == Some(value)).count()
+    }
+
+    fn args<'a>(row: &'a Json, key: &str) -> Option<&'a Json> {
+        row.get("args")?.get(key)
+    }
+
     #[test]
     fn spans_balance_and_document_is_wellformed() {
         let mut sink = ChromeTraceSink::new();
@@ -330,23 +294,25 @@ mod tests {
         sink.record(6, &Event::TraceDispatched { pe: 1, pc: 10, len: 3, cgci_insert: true });
         sink.record(9, &Event::TraceSquashed { pe: 1, pc: 10, drained: false });
         sink.record(9, &Event::WindowSample { occupied: 2, fetch_queue: 1 });
-        let json = sink.to_json();
-        assert_eq!(json.matches("\"ph\":\"B\"").count(), 2);
-        assert_eq!(json.matches("\"ph\":\"E\"").count(), 2);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"traceEvents\""));
-        assert!(json.contains("\"name\":\"PE 1\""));
-        assert!(json.contains("\"end\":\"retired\""));
-        assert!(json.contains("\"name\":\"squash\""));
-        assert!(json.contains("\"name\":\"window\""));
+        let rows = rows(sink);
+        assert_eq!(count(&rows, "ph", "B"), 2);
+        assert_eq!(count(&rows, "ph", "E"), 2);
+        assert_eq!(count(&rows, "name", "squash"), 1);
+        let pe1 = rows.iter().find(|r| args(r, "name").and_then(Json::as_str) == Some("PE 1"));
+        assert_eq!(pe1.and_then(|r| r.get("pid")).and_then(Json::as_u64), Some(2));
+        let retired =
+            rows.iter().find(|r| args(r, "end").and_then(Json::as_str) == Some("retired"));
+        assert_eq!(retired.and_then(|r| args(r, "len")).and_then(Json::as_u64), Some(6));
+        let window = rows.iter().find(|r| r.str("name") == Some("window")).expect("counter row");
+        assert_eq!(window.str("ph"), Some("C"));
+        assert_eq!(args(window, "occupied").and_then(Json::as_u64), Some(2));
     }
 
     #[test]
     fn retire_without_open_span_is_dropped_not_unbalanced() {
         let mut sink = ChromeTraceSink::new();
         sink.record(3, &Event::TraceRetired { pe: 2, pc: 8, len: 2 });
-        let json = sink.to_json();
-        assert_eq!(json.matches("\"ph\":\"E\"").count(), 0);
+        assert_eq!(count(&rows(sink), "ph", "E"), 0);
     }
 
     #[test]
@@ -358,10 +324,17 @@ mod tests {
         sink.set_base(1_000);
         sink.mark_interval(1, 5_000);
         sink.record(2, &Event::TraceDispatched { pe: 0, pc: 4, len: 6, cgci_insert: false });
-        let json = sink.to_json();
+        let rows = rows(sink);
         // Second interval's dispatch lands at base + cycle, not back at 2.
-        assert!(json.contains("\"ts\":1002"));
-        assert!(json.contains("\"interval\":1,\"start_retired\":5000"));
-        assert!(json.contains("\"name\":\"sampling\""));
+        let begins: Vec<u64> = rows
+            .iter()
+            .filter(|r| r.str("ph") == Some("B"))
+            .filter_map(|r| r.get("ts")?.as_u64())
+            .collect();
+        assert_eq!(begins, [2, 1002]);
+        let mark = rows.iter().find(|r| r.str("name") == Some("interval 1")).expect("marker");
+        assert_eq!(args(mark, "interval").and_then(Json::as_u64), Some(1));
+        assert_eq!(args(mark, "start_retired").and_then(Json::as_u64), Some(5000));
+        assert!(rows.iter().any(|r| args(r, "name").and_then(Json::as_str) == Some("sampling")));
     }
 }

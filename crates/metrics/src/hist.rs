@@ -9,6 +9,8 @@
 //! log bucket reports the bucket's lower bound `b` and the true value `v`
 //! satisfies `b <= v < 2*b` (relative error strictly below 2x).
 
+use tp_stats::Json;
+
 /// Values `0..EXACT_BUCKETS` are counted exactly, one bucket each.
 pub const EXACT_BUCKETS: usize = 64;
 
@@ -189,18 +191,16 @@ impl Histogram {
 
     /// The histogram summary as a JSON object (schema `tp-bench/metrics/v1`
     /// histogram fragment): count, mean, min/max, p50/p90/p99.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"count\": {}, \"mean\": {:.6}, \"min\": {}, \"max\": {}, \"p50\": {}, \"p90\": {}, \
-             \"p99\": {}}}",
-            self.count,
-            self.mean(),
-            self.min(),
-            self.max(),
-            self.p50(),
-            self.p90(),
-            self.p99()
-        )
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("count", self.count.into()),
+            ("mean", self.mean().into()),
+            ("min", self.min().into()),
+            ("max", self.max().into()),
+            ("p50", self.p50().into()),
+            ("p90", self.p90().into()),
+            ("p99", self.p99().into()),
+        ])
     }
 }
 

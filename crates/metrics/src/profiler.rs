@@ -12,7 +12,7 @@
 use std::cell::Cell;
 use std::time::Instant;
 
-use tp_stats::Table;
+use tp_stats::{Json, Table};
 
 /// The eight pipeline-stage modules of the detailed model, in the order
 /// `step_cycle` runs them (re-dispatch runs inside dispatch when a pass is
@@ -118,19 +118,13 @@ impl StageProfiler {
 
     /// The breakdown as a JSON object keyed by stage label, each value
     /// `{nanos, calls}`.
-    pub fn to_json(&self) -> String {
-        let rows: Vec<String> = Stage::ALL
-            .iter()
-            .map(|&s| {
-                format!(
-                    "\"{}\": {{\"nanos\": {}, \"calls\": {}}}",
-                    s.label(),
-                    self.nanos(s),
-                    self.calls(s)
-                )
-            })
-            .collect();
-        format!("{{{}}}", rows.join(", "))
+    pub fn to_json(&self) -> Json {
+        Json::obj(Stage::ALL.map(|s| {
+            (
+                s.label(),
+                Json::obj([("nanos", self.nanos(s).into()), ("calls", self.calls(s).into())]),
+            )
+        }))
     }
 }
 

@@ -2,6 +2,8 @@
 //! cycle windows, for trend plots and phase comparison (cold vs steady vs
 //! fast-forward legs of a sampled run).
 
+use tp_stats::Json;
+
 /// One window of a [`SeriesRecorder`]: the mean of the samples that fell
 /// inside it, plus the sample count.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -71,18 +73,15 @@ impl SeriesRecorder {
     }
 
     /// The series as a JSON array of `{index, mean, count}` objects.
-    pub fn to_json(&self) -> String {
-        let rows: Vec<String> = self
-            .points()
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"index\": {}, \"mean\": {:.6}, \"count\": {}}}",
-                    p.index, p.mean, p.count
-                )
-            })
-            .collect();
-        format!("[{}]", rows.join(", "))
+    pub fn to_json(&self) -> Json {
+        let rows = self.points().into_iter().map(|p| {
+            Json::obj([
+                ("index", p.index.into()),
+                ("mean", p.mean.into()),
+                ("count", p.count.into()),
+            ])
+        });
+        Json::Arr(rows.collect())
     }
 }
 

@@ -6,7 +6,7 @@ use std::any::Any;
 use std::collections::HashMap;
 
 use tp_events::{BusChannel, CategoryMask, Event, EventSink};
-use tp_stats::Table;
+use tp_stats::{Json, Table};
 
 use crate::counter::{Counter, Gauge};
 use crate::hist::Histogram;
@@ -135,12 +135,8 @@ impl Metrics {
 
     /// The metrics as a JSON object (the `metrics` payload of the
     /// `tp-bench/metrics/v1` document).
-    pub fn to_json(&self) -> String {
-        let hists: Vec<String> = self
-            .distributions()
-            .iter()
-            .map(|(name, h)| format!("\"{name}\": {}", h.to_json()))
-            .collect();
+    pub fn to_json(&self) -> Json {
+        let hists = self.distributions().map(|(name, h)| (name, h.to_json()));
         let counters = [
             ("reconv_unmapped", self.reconv_unmapped.get()),
             ("window_peak", self.window_peak.max()),
@@ -157,13 +153,10 @@ impl Metrics {
             ("cgci_opened", self.cgci_opened.get()),
             ("cgci_closed", self.cgci_closed.get()),
         ];
-        let counts: Vec<String> =
-            counters.iter().map(|(name, v)| format!("\"{name}\": {v}")).collect();
-        format!(
-            "{{\"distributions\": {{{}}}, \"counters\": {{{}}}}}",
-            hists.join(", "),
-            counts.join(", ")
-        )
+        Json::obj([
+            ("distributions", Json::obj(hists)),
+            ("counters", Json::obj(counters.map(|(name, v)| (name, v.into())))),
+        ])
     }
 }
 

@@ -14,6 +14,7 @@
 //!
 //! The ledger is pure observation: it carries no simulator behaviour.
 
+use crate::json::Json;
 use crate::Table;
 
 /// Ledger branch classes: what kind of conditional branch mispredicted.
@@ -263,34 +264,25 @@ impl RecoveryAttribution {
         out
     }
 
-    /// Renders the ledger as a JSON array of cell objects (one per
-    /// non-zero `(class, heuristic, outcome)` cell, canonical order) — the
+    /// The ledger as a JSON array of cell objects (one per non-zero
+    /// `(class, heuristic, outcome)` cell, canonical order) — the
     /// machine-readable counterpart of [`RecoveryAttribution::table`],
-    /// shared by `BENCH_speed.json` and `cistats --json`. Hand-rolled
-    /// because the build is offline.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("[");
-        for (i, ((class, heur, outcome), cell)) in self.nonzero().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "{{\"class\": \"{}\", \"heuristic\": \"{}\", \"outcome\": \"{}\", \
-                 \"events\": {}, \"retired\": {}, \"squashed\": {}, \"preserved\": {}, \
-                 \"redispatched\": {}, \"recovery_cycles\": {}}}",
-                class.label(),
-                heur.label(),
-                outcome.label(),
-                cell.events,
-                cell.retired,
-                cell.traces_squashed,
-                cell.traces_preserved,
-                cell.traces_redispatched,
-                cell.recovery_cycles
-            ));
-        }
-        s.push(']');
-        s
+    /// shared by `BENCH_speed.json` and `cistats --json`.
+    pub fn to_json(&self) -> Json {
+        let cells = self.nonzero().map(|((class, heur, outcome), cell)| {
+            Json::obj([
+                ("class", class.label().into()),
+                ("heuristic", heur.label().into()),
+                ("outcome", outcome.label().into()),
+                ("events", cell.events.into()),
+                ("retired", cell.retired.into()),
+                ("squashed", cell.traces_squashed.into()),
+                ("preserved", cell.traces_preserved.into()),
+                ("redispatched", cell.traces_redispatched.into()),
+                ("recovery_cycles", cell.recovery_cycles.into()),
+            ])
+        });
+        Json::Arr(cells.collect())
     }
 
     /// Renders the Table-6-style per-class breakdown: one row per non-zero
@@ -394,12 +386,15 @@ mod tests {
         let key = (BranchClass::Backward, Heuristic::Mlb, RecoveryOutcome::CgciReconverged);
         a.cell_mut(key).events = 2;
         a.cell_mut(key).traces_preserved = 5;
-        let json = a.to_json();
-        assert_eq!(json.matches('{').count(), 1);
-        assert!(json.contains("\"class\": \"backward\""), "{json}");
-        assert!(json.contains("\"heuristic\": \"MLB\""), "{json}");
-        assert!(json.contains("\"preserved\": 5"), "{json}");
-        assert_eq!(RecoveryAttribution::new().to_json(), "[]");
+        let json = crate::json::parse(&a.to_json().to_string()).expect("valid json");
+        let cells = json.as_array().expect("an array");
+        assert_eq!(cells.len(), 1);
+        assert_eq!(cells[0].str("class"), Some("backward"));
+        assert_eq!(cells[0].str("heuristic"), Some("MLB"));
+        assert_eq!(cells[0].str("outcome"), Some("cgci-reconv"));
+        assert_eq!(cells[0].get("events").and_then(Json::as_u64), Some(2));
+        assert_eq!(cells[0].get("preserved").and_then(Json::as_u64), Some(5));
+        assert_eq!(RecoveryAttribution::new().to_json(), Json::Arr(vec![]));
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! Statistics utilities shared by the simulator and the experiment
 //! harnesses: rate helpers, means, a fixed-width table printer that the
-//! benches use to reproduce the paper's tables, and the misprediction
-//! outcome-attribution ledger ([`attr`]).
+//! benches use to reproduce the paper's tables, the one JSON value type,
+//! writer and reader behind every harness document ([`json`]), and the
+//! misprediction outcome-attribution ledger ([`attr`]).
 
 pub mod attr;
+pub mod json;
 pub mod table;
 
 pub use attr::{AttrCell, AttrKey, BranchClass, Heuristic, RecoveryAttribution, RecoveryOutcome};
+pub use json::Json;
 pub use table::Table;
 
 /// Harmonic mean of a sequence of values (the paper summarizes IPC across

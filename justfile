@@ -40,13 +40,13 @@ oracle:
 # Perf-trajectory baseline: both workload suites (synthetic + rv) x all
 # five CI models, writes BENCH_speed.json (tp-bench/speed/v2; see README
 # "Benchmarking"). The rv cells are the file's "rv section"; the sampled
-# section is the long-suite fast-forward throughput report.
+# section is the long-suite fast-forward throughput report (tp-bench/ffwd/v1).
 baseline SIZE="full":
     cargo run --release -p tp-bench --bin tp -- baseline --size {{SIZE}} --suite all --ffwd-bench
 
 # Fast-forward engine benchmark: interpreter vs superblock on both suites,
 # asserting byte-identical TPCK checkpoints per cell; writes
-# BENCH_ffwd.json (the `sampled` throughput schema, standalone). CI runs
+# BENCH_ffwd.json (tp-bench/ffwd/v1, the schema of that section). CI runs
 # the small variant with `--gate 1.0` — the superblock engine must never
 # be slower than the interpreter.
 ffwd-bench SIZE="long":
@@ -132,11 +132,11 @@ ckpt WORKLOAD="gcc" SIZE="full" FFWD="20000" OUT="ckpt.tpckpt":
 
 # Event capture: run WORKLOAD at SIZE under MODEL with the tp-events bus
 # attached and write Chrome trace-event JSON (load OUT in
-# https://ui.perfetto.dev or chrome://tracing) plus a counter timeline.
+# https://ui.perfetto.dev or chrome://tracing).
 # `tp tracetap` also resumes TPCK checkpoints (--ckpt PATH) and replays
 # fuzzer reproducers (--fuzz-seed S) — see the usage `tp` prints.
 tracetap WORKLOAD="go" SIZE="tiny" MODEL="MLB-RET" BUDGET="50000" OUT="tracetap.trace.json":
-    cargo run --release -p tp-bench --bin tp -- tracetap --workload {{WORKLOAD}} --size {{SIZE}} --model {{MODEL}} --budget {{BUDGET}} --out {{OUT}} --counters tracetap.counters.json
+    cargo run --release -p tp-bench --bin tp -- tracetap --workload {{WORKLOAD}} --size {{SIZE}} --model {{MODEL}} --budget {{BUDGET}} --out {{OUT}}
 
 # Disabled-bus overhead guard, exactly as CI runs it: the event bus must
 # stay free when no sink is attached (tiny suite, bare vs NullSink,

@@ -22,12 +22,12 @@
 //! * [`tp_ckpt`] — checkpointed fast-forward and the sampled-simulation
 //!   engine (functional warming, versioned binary checkpoints);
 //! * [`tp_events`] — the attachable structured event bus and its sinks
-//!   (Chrome trace-event JSON for perfetto, counter timelines, ring
-//!   buffer);
+//!   (Chrome trace-event JSON for perfetto, ring buffer);
 //! * [`tp_metrics`] — the histogram/time-series metrics layer: derived
 //!   distributions over the event stream and the host-side pipeline-stage
 //!   profiler;
-//! * [`tp_stats`] — statistics helpers.
+//! * [`tp_stats`] — statistics helpers and the one JSON module behind
+//!   every harness document.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour, and `DESIGN.md` /
 //! `EXPERIMENTS.md` for the system inventory and the reproduced tables and

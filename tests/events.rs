@@ -7,8 +7,8 @@
 //! * **Residency spans balance** — every `TraceDispatched` is closed by
 //!   exactly one `TraceRetired` or `TraceSquashed` (run-end residents are
 //!   closed as synthetic `drained` squashes when the bus is released).
-//! * **The Chrome trace document is schema-valid** — it parses as JSON
-//!   (`tp_bench::json`; the build is offline), every `traceEvents`
+//! * **The Chrome trace document is schema-valid** — its rendering parses
+//!   back as JSON (`tp_bench::json`; the build is offline), every `traceEvents`
 //!   element carries the required `ph`/`ts`/`pid`/`tid` fields, `B`/`E`
 //!   spans are stack-balanced per track, and timestamps are monotone
 //!   per track.
@@ -130,7 +130,8 @@ fn chrome_trace_document_is_schema_valid() {
     let cap = tp_bench::capture_program(&w.program, cfg, 20_000);
     assert!(cap.error.is_none(), "{:?}", cap.error);
 
-    let doc = json::parse(&cap.chrome_json).expect("the Chrome trace document is valid JSON");
+    let text = cap.chrome_json.to_string();
+    let doc = json::parse(&text).expect("the Chrome trace document is valid JSON");
     let rows = doc.get("traceEvents").and_then(Json::as_array).expect("traceEvents array");
     assert!(rows.len() > 100, "suspiciously small capture: {} rows", rows.len());
 
