@@ -14,8 +14,20 @@ pub enum ConfigError {
         /// The configured value.
         num_pes: usize,
     },
+    /// `num_pes` above 256: PE ids are stored as `u8` (register producer
+    /// tags and local-bypass checks), so a 257th PE would alias PE 0.
+    TooManyPes {
+        /// The configured value.
+        num_pes: usize,
+    },
     /// `pe_issue_width` of zero.
     ZeroIssueWidth,
+    /// `selection.max_len` outside `1..=32` (a trace id records at most
+    /// 32 branch outcomes).
+    SelectionMaxLen {
+        /// The configured value.
+        max_len: u32,
+    },
     /// `fgci` enabled without `fg` trace selection.
     FgciWithoutFgSelection,
     /// The `MLB-RET` heuristic without `ntb` trace selection.
@@ -42,8 +54,14 @@ impl fmt::Display for ConfigError {
             ConfigError::TooFewPes { num_pes } => {
                 write!(f, "num_pes = {num_pes}: need at least two PEs")
             }
+            ConfigError::TooManyPes { num_pes } => {
+                write!(f, "num_pes = {num_pes}: at most 256 PEs (PE ids are 8-bit)")
+            }
             ConfigError::ZeroIssueWidth => {
                 write!(f, "pe_issue_width = 0: issue width must be non-zero")
+            }
+            ConfigError::SelectionMaxLen { max_len } => {
+                write!(f, "selection.max_len = {max_len}: trace length must be in 1..=32")
             }
             ConfigError::FgciWithoutFgSelection => {
                 write!(f, "fgci = true: FGCI recovery requires fg trace selection")
@@ -285,8 +303,14 @@ impl TraceProcessorConfig {
         if self.num_pes < 2 {
             return Err(ConfigError::TooFewPes { num_pes: self.num_pes });
         }
+        if self.num_pes > 256 {
+            return Err(ConfigError::TooManyPes { num_pes: self.num_pes });
+        }
         if self.pe_issue_width < 1 {
             return Err(ConfigError::ZeroIssueWidth);
+        }
+        if !(1..=32).contains(&self.selection.max_len) {
+            return Err(ConfigError::SelectionMaxLen { max_len: self.selection.max_len });
         }
         if self.fgci && !self.selection.fg {
             return Err(ConfigError::FgciWithoutFgSelection);
@@ -375,6 +399,28 @@ mod tests {
         let mut c = TraceProcessorConfig::paper(CiModel::None);
         c.pe_issue_width = 0;
         assert!(c.validate().unwrap_err().to_string().contains("pe_issue_width"));
+    }
+
+    #[test]
+    fn too_many_pes_is_invalid() {
+        let mut c = TraceProcessorConfig::paper(CiModel::None);
+        c.num_pes = 256;
+        c.validate().unwrap();
+        c.num_pes = 257;
+        let err = c.validate().unwrap_err();
+        assert_eq!(err, ConfigError::TooManyPes { num_pes: 257 });
+        assert!(err.to_string().contains("num_pes = 257"), "{err}");
+    }
+
+    #[test]
+    fn selection_max_len_out_of_range_is_invalid() {
+        for max_len in [0, 33] {
+            let mut c = TraceProcessorConfig::paper(CiModel::None);
+            c.selection.max_len = max_len;
+            let err = c.validate().unwrap_err();
+            assert_eq!(err, ConfigError::SelectionMaxLen { max_len });
+            assert!(err.to_string().contains(&format!("selection.max_len = {max_len}")), "{err}");
+        }
     }
 
     #[test]

@@ -235,21 +235,10 @@ impl TraceProcessor<'_> {
     /// conclude the load's source is younger and wrongly skip the reissue
     /// (committed-path loads then retire stale forwarded values).
     pub(super) fn demote_committed_source(&mut self, addr: Addr, store_h: SeqHandle) {
-        let word = addr >> 3;
-        let Some(entries) = self.wakeup.loads_by_word.get(&word) else { return };
-        let victims: Vec<(usize, usize)> = entries
-            .iter()
-            .filter(|&&(pe, gen, slot)| {
-                let p = &self.pes[pe];
-                p.occupied
-                    && p.gen == gen
-                    && slot < p.slots.len()
-                    && p.slots[slot].load_src == Some(store_h.0)
-            })
-            .map(|&(pe, _, slot)| (pe, slot))
-            .collect();
-        for (pe, slot) in victims {
-            self.pes[pe].slots[slot].load_src = None;
+        for r in self.wakeup.loads.iter(addr >> 3) {
+            if live_slot(&self.pes, r).is_some_and(|s| s.load_src == Some(store_h.0)) {
+                self.pes[r.0].slots[r.2].load_src = None;
+            }
         }
     }
 
@@ -259,13 +248,13 @@ impl TraceProcessor<'_> {
     /// Victims come from the per-word load registry, not a window rescan.
     fn snoop_store(&mut self, addr: Addr, store_h: SeqHandle, value: Word, store_pe: usize) {
         let word = addr >> 3;
-        let Some(mut entries) = self.wakeup.loads_by_word.remove(&word) else { return };
         let store_key = self.seq_key(store_h);
-        let penalty = self.cfg.load_reissue_penalty;
-        let now = self.now;
-        let mut reissues: Vec<(usize, usize)> = Vec::new();
-        let before = entries.len();
-        entries.retain(|&(pe, gen, i)| {
+        // The registry and the reissue list leave `self` while the
+        // validation closure reads the window through it.
+        let mut loads = std::mem::take(&mut self.wakeup.loads);
+        let mut reissues = std::mem::take(&mut self.scratch_marks);
+        reissues.clear();
+        loads.filter(word, |&(pe, gen, i)| {
             let Some(s) = self.live_load(pe, gen, i, word) else { return false };
             // Only loads that already sampled memory can be victims.
             if !matches!(s.state, SlotState::MemAccess { .. } | SlotState::Done) {
@@ -291,41 +280,38 @@ impl TraceProcessor<'_> {
             }
             true
         });
-        self.load_count -= before - entries.len();
-        if !entries.is_empty() {
-            self.wakeup.loads_by_word.insert(word, entries);
-        }
+        self.wakeup.loads = loads;
         let _ = store_pe;
-        for (pe, i) in reissues {
-            self.stats.load_snoop_reissues += 1;
-            self.mark_reissue_slot(pe, i, now + penalty);
-        }
+        self.reissue_snooped_loads(reissues);
     }
 
     /// Loads snoop store-undo traffic: any load whose data came from the
     /// undone store must reissue.
     pub(super) fn snoop_undo(&mut self, addr: Addr, store_h: SeqHandle, skip_pe: usize) {
         let word = addr >> 3;
-        let Some(mut entries) = self.wakeup.loads_by_word.remove(&word) else { return };
-        let penalty = self.cfg.load_reissue_penalty;
-        let now = self.now;
-        let mut reissues: Vec<(usize, usize)> = Vec::new();
-        let before = entries.len();
-        entries.retain(|&(pe, gen, i)| {
+        let mut loads = std::mem::take(&mut self.wakeup.loads);
+        let mut reissues = std::mem::take(&mut self.scratch_marks);
+        reissues.clear();
+        loads.filter(word, |&(pe, gen, i)| {
             let Some(s) = self.live_load(pe, gen, i, word) else { return false };
             if pe != skip_pe && s.load_src == Some(store_h.0) {
                 reissues.push((pe, i));
             }
             true
         });
-        self.load_count -= before - entries.len();
-        if !entries.is_empty() {
-            self.wakeup.loads_by_word.insert(word, entries);
-        }
-        for (pe, i) in reissues {
+        self.wakeup.loads = loads;
+        self.reissue_snooped_loads(reissues);
+    }
+
+    /// Marks snoop victims for reissue after the load penalty, then hands
+    /// the (scratch) victim list back.
+    fn reissue_snooped_loads(&mut self, reissues: Vec<(usize, usize)>) {
+        let until = self.now + self.cfg.load_reissue_penalty;
+        for &(pe, i) in &reissues {
             self.stats.load_snoop_reissues += 1;
-            self.mark_reissue_slot(pe, i, now + penalty);
+            self.mark_reissue_slot(pe, i, until);
         }
+        self.scratch_marks = reissues;
     }
 
     /// Validates a load-registry entry: the slot must still be a live load

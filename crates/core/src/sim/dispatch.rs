@@ -79,18 +79,18 @@ impl TraceProcessor<'_> {
                     // reclaiming the suffix one tail per cycle, which
                     // made a failed attempt cost strictly more than
                     // the full squash it degenerates to.
-                    let victims: Vec<usize> = {
-                        let mut v = vec![before];
-                        v.extend(self.list.iter_after(before));
-                        v
-                    };
+                    let mut victims = std::mem::take(&mut self.scratch_pes);
+                    victims.clear();
+                    victims.push(before);
+                    victims.extend(self.list.iter_after(before));
                     if let Some(p) = self.cgci_pending.as_mut() {
                         p.squashed += victims.len() as u64;
                     }
-                    for v in victims {
+                    for &v in &victims {
                         self.squash_pe(v);
                         self.stats.tail_reclaims += 1;
                     }
+                    self.scratch_pes = victims;
                     self.set_mode(FetchMode::Normal);
                     // The fetch queue holds correct-path (post-branch)
                     // traces and the fetch history tracks them; both
@@ -137,8 +137,12 @@ impl TraceProcessor<'_> {
         let trace = pending.trace;
         let map_before = self.current_map;
         self.pes[pe].gen += 1;
-        let gen = self.pes[pe].gen;
-        let mut slots: Vec<Slot> = Vec::with_capacity(trace.len());
+        // Refill the PE's own slot buffer: its previous trace (retired or
+        // squashed) is dead, and reusing the capacity keeps dispatch free
+        // of allocation.
+        let mut slots = std::mem::take(&mut self.pes[pe].slots);
+        slots.clear();
+        slots.reserve(trace.len());
         for (i, ti) in trace.insts().iter().enumerate() {
             let mut slot = Slot::new(*ti);
             for (k, &(_, oref)) in ti.srcs.iter().flatten().enumerate() {
@@ -168,10 +172,7 @@ impl TraceProcessor<'_> {
         // Register readers.
         for (i, slot) in slots.iter().enumerate() {
             for preg in slot.srcs.iter().flatten() {
-                if *preg != PhysRegId::ZERO {
-                    self.readers.entry(*preg).or_default().push((pe, gen, i));
-                    self.reader_count += 1;
-                }
+                self.register_reader(*preg, pe, i);
             }
         }
         let num_slots = slots.len();

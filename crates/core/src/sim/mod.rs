@@ -32,6 +32,7 @@ mod issue;
 mod recovery;
 mod redispatch;
 mod retire;
+mod subs;
 
 #[cfg(test)]
 mod tests;
@@ -45,7 +46,6 @@ use tp_cache::{Arb, DCache, ICache, SeqHandle, TraceCache};
 use tp_cfg::{CfgAnalysis, ReconvClass};
 use tp_events::{Category, Event, EventBus, EventSink};
 use tp_isa::func::{ArchState, Machine, MachineState};
-use tp_isa::fxhash::FxHashMap;
 use tp_isa::{Addr, Pc, Program, Reg, Word};
 use tp_metrics::{ScopedStageTimer, Stage, StageProfiler};
 use tp_predict::{Btb, NextTracePredictor, Ras, TraceHistory, TracePredictorStats};
@@ -58,6 +58,7 @@ use crate::pe::{FetchSource, Pe, SlotState};
 use crate::pe_list::PeList;
 use crate::physreg::{PhysRegFile, PhysRegId, RenameMap};
 use crate::stats::SimStats;
+use subs::{SlotRef, SubscriptionIndex};
 
 /// Errors terminating a simulation abnormally.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -219,10 +220,6 @@ struct BusReq {
     since: u64,
 }
 
-/// A `(pe, gen, slot)` reference into the window, validated against the
-/// PE's generation counter before use (stale entries are dropped lazily).
-type SlotRef = (usize, u64, usize);
-
 /// Event-driven wakeup/issue index.
 ///
 /// The paper's hardware evaluates every instruction slot of every PE each
@@ -261,10 +258,19 @@ type SlotRef = (usize, u64, usize);
 ///    before completing; `replace_trace` re-enqueues surviving in-flight
 ///    prefix slots under the bumped generation.
 /// 4. **Sampled loads.** Every load slot with `mem_addr = Some(a)` has an
-///    entry in `loads_by_word[a >> 3]` under its current generation, so
+///    entry in `loads[a >> 3]` under its current generation, so
 ///    store/undo snooping visits only loads on the snooped word instead of
 ///    rescanning the window. A reissued load that moved words re-registers
 ///    under the new word; the old entry dies on the word check.
+///
+/// The two subscription lists (`waiters`, `loads`) and the processor's
+/// `readers` list are [`SubscriptionIndex`]es: per-key FIFO chains through
+/// one node arena per index, so subscribing allocates nothing once the
+/// arena covers the live window. A chain visits its entries in push order
+/// (minus removed ones), which is the order the wake/snoop/reissue passes
+/// act in. Each index keeps an exact live-entry count (the sum of its chain
+/// lengths, equal to its arena nodes off the free list) that arms its
+/// amortized sweep.
 ///
 /// All structures tolerate stale entries (validation is cheap and local);
 /// what they must never do is *lose* a live slot — that turns into a
@@ -274,27 +280,22 @@ struct WakeupIndex {
     /// bounded at 32 by selection, so a `u64` per PE always suffices.
     ready: Vec<u64>,
     /// Per-physical-register wait lists (invariant 2).
-    waiters: FxHashMap<PhysRegId, Vec<SlotRef>>,
+    waiters: SubscriptionIndex<PhysRegId>,
     /// Min-heap of `(done_at, pe, slot, gen)` completion events
     /// (invariant 3). Ties pop in `(pe, slot)` order, matching the legacy
     /// physical-index scan order.
     completions: BinaryHeap<Reverse<(u64, usize, usize, u64)>>,
     /// Loads that sampled memory, indexed by word address (invariant 4).
-    loads_by_word: FxHashMap<Addr, Vec<SlotRef>>,
+    loads: SubscriptionIndex<Addr>,
 }
-
-/// Minimum subscription-map size before an amortized sweep is considered
-/// (comfortably above the live window's worst case of
-/// `16 PEs x 32 slots x 2 sources`).
-const GC_FLOOR: usize = 4096;
 
 impl WakeupIndex {
     fn new(num_pes: usize) -> WakeupIndex {
         WakeupIndex {
             ready: vec![0; num_pes],
-            waiters: FxHashMap::default(),
+            waiters: SubscriptionIndex::default(),
             completions: BinaryHeap::new(),
-            loads_by_word: FxHashMap::default(),
+            loads: SubscriptionIndex::default(),
         }
     }
 }
@@ -319,7 +320,6 @@ pub struct TraceProcessor<'p> {
     pes: Vec<Pe>,
     list: PeList,
     pregs: PhysRegFile,
-    readers: FxHashMap<PhysRegId, Vec<(usize, u64, usize)>>,
     current_map: RenameMap,
     /// Architectural rename map of *retired* state: the physical register
     /// holding each architectural register's committed value.
@@ -346,25 +346,21 @@ pub struct TraceProcessor<'p> {
     result_bus_next_due: u64,
     // Event-driven wakeup/issue index (see [`WakeupIndex`]).
     wakeup: WakeupIndex,
-    /// Live entry counts and doubling thresholds for the amortized sweeps
-    /// of the three subscription maps (`waiters`, `readers`,
-    /// `loads_by_word`). Wrong-path consumers subscribe to producers that
-    /// are squashed before ever producing, so without collection the maps
-    /// grow with *dispatched* (not retired) instructions and the hot-path
-    /// hash operations thrash the cache. Each sweep drops exactly the
-    /// entries validation would ignore anyway, so collection is
-    /// behaviour-invisible; thresholds double after each sweep for O(1)
-    /// amortized cost.
-    waiter_count: usize,
-    waiters_gc_at: usize,
-    reader_count: usize,
-    readers_gc_at: usize,
-    load_count: usize,
-    loads_gc_at: usize,
-    // Reusable per-cycle scratch buffers (avoid steady-state allocation).
+    /// Per-physical-register consumer lists for selective reissue: every
+    /// slot reading a register, under the generation it was bound in.
+    readers: SubscriptionIndex<PhysRegId>,
+    // Reusable scratch buffers (avoid steady-state allocation).
     scratch_order: Vec<usize>,
     scratch_due: Vec<(usize, usize, u64, u64)>,
     scratch_grants: Vec<u32>,
+    /// PEs to squash (CGCI abandonment).
+    scratch_pes: Vec<usize>,
+    /// Slots of one PE to re-enqueue after a source rebind.
+    scratch_slots: Vec<usize>,
+    /// `(new source, slot)` pairs of one PE's source rebind.
+    scratch_rebind: Vec<(PhysRegId, usize)>,
+    /// `(pe, slot)` pairs to mark for selective reissue.
+    scratch_marks: Vec<(usize, usize)>,
     /// Cached `TP_PARANOID` environment flag (reading the environment once
     /// per stage per cycle is measurable on the hot path).
     paranoid: bool,
@@ -529,7 +525,6 @@ impl<'p> TraceProcessor<'p> {
             pes,
             list: PeList::new(cfg.num_pes),
             pregs,
-            readers: FxHashMap::default(),
             current_map: arch_map,
             retired_map: arch_map,
             fetch_hist: hist.clone(),
@@ -550,15 +545,14 @@ impl<'p> TraceProcessor<'p> {
             cache_bus_next_due: u64::MAX,
             result_bus_next_due: u64::MAX,
             wakeup: WakeupIndex::new(cfg.num_pes),
-            waiter_count: 0,
-            waiters_gc_at: GC_FLOOR,
-            reader_count: 0,
-            readers_gc_at: GC_FLOOR,
-            load_count: 0,
-            loads_gc_at: GC_FLOOR,
+            readers: SubscriptionIndex::default(),
             scratch_order: Vec::new(),
             scratch_due: Vec::new(),
             scratch_grants: Vec::new(),
+            scratch_pes: Vec::new(),
+            scratch_slots: Vec::new(),
+            scratch_rebind: Vec::new(),
+            scratch_marks: Vec::new(),
             paranoid: std::env::var("TP_PARANOID").is_ok(),
             arch_regs: boot.regs,
             oracle,
@@ -756,17 +750,7 @@ impl<'p> TraceProcessor<'p> {
     ///
     /// Returns [`SimError::OracleMismatch`] under oracle verification.
     pub fn step_cycle(&mut self) -> Result<(), SimError> {
-        // Amortized collection of the subscription maps (behaviour-
-        // invisible: only entries that validation would skip are dropped).
-        if self.waiter_count > self.waiters_gc_at {
-            self.gc_waiters();
-        }
-        if self.reader_count > self.readers_gc_at {
-            self.gc_readers();
-        }
-        if self.load_count > self.loads_gc_at {
-            self.gc_loads();
-        }
+        self.sweep_subscriptions();
         // The profiler is taken out for the duration of the stage calls so
         // the scoped timers can hold a shared borrow while the stages
         // borrow the processor mutably; restored on every path out.
@@ -1018,36 +1002,33 @@ impl<'p> TraceProcessor<'p> {
         s
     }
 
+    /// Subscribes a slot to value changes of `preg` (selective reissue),
+    /// under the slot's current generation. The zero register never
+    /// changes, so nothing subscribes to it.
     fn register_reader(&mut self, preg: PhysRegId, pe: usize, slot: usize) {
-        if preg == PhysRegId::ZERO {
-            return;
+        if preg != PhysRegId::ZERO {
+            self.readers.push(preg, (pe, self.pes[pe].gen, slot));
         }
-        let gen = self.pes[pe].gen;
-        self.readers.entry(preg).or_default().push((pe, gen, slot));
-        self.reader_count += 1;
     }
 
     /// Marks every live consumer of `preg` for selective reissue.
     fn propagate_value_change(&mut self, preg: PhysRegId, not_before: u64) {
-        let Some(list) = self.readers.get_mut(&preg) else { return };
-        let entries = std::mem::take(list);
-        let total = entries.len();
-        let mut kept = Vec::with_capacity(entries.len());
-        for (pe, gen, slot) in entries {
-            let p = &mut self.pes[pe];
-            if p.occupied && p.gen == gen && slot < p.slots.len() {
-                // Only reissue if this slot still actually reads the preg.
-                if p.slots[slot].srcs.iter().flatten().any(|&s| s == preg) {
-                    kept.push((pe, gen, slot));
-                }
+        let mut marks = std::mem::take(&mut self.scratch_marks);
+        marks.clear();
+        let pes = &self.pes;
+        self.readers.filter(preg, |&r| {
+            // Only reissue if this slot still actually reads the preg.
+            let keep = live_slot(pes, r).is_some_and(|s| s.srcs.contains(&Some(preg)));
+            if keep {
+                marks.push((r.0, r.2));
             }
-        }
-        self.stats.value_change_marks += kept.len() as u64;
-        for &(pe, _, slot) in &kept {
+            keep
+        });
+        self.stats.value_change_marks += marks.len() as u64;
+        for &(pe, slot) in &marks {
             self.mark_reissue_slot(pe, slot, not_before);
         }
-        self.reader_count -= total - kept.len();
-        *self.readers.entry(preg).or_default() = kept;
+        self.scratch_marks = marks;
     }
 
     // ------------------------------------------------------------------
@@ -1096,8 +1077,7 @@ impl<'p> TraceProcessor<'p> {
         for &p in srcs.iter().flatten() {
             if !self.pregs.get(p).ready {
                 all_produced = false;
-                self.wakeup.waiters.entry(p).or_default().push((pe, gen, slot));
-                self.waiter_count += 1;
+                self.wakeup.waiters.push(p, (pe, gen, slot));
             }
         }
         if all_produced {
@@ -1114,21 +1094,17 @@ impl<'p> TraceProcessor<'p> {
     /// its ready bit set. Called exactly once per register, on its first
     /// production (value *changes* go through selective reissue instead).
     fn wake_waiters(&mut self, preg: PhysRegId) {
-        let Some(entries) = self.wakeup.waiters.remove(&preg) else { return };
-        self.waiter_count -= entries.len();
-        for (pe, gen, slot) in entries {
-            let p = &self.pes[pe];
-            if !p.occupied || p.gen != gen || slot >= p.slots.len() {
-                continue; // stale: squashed or replaced
+        let (pes, pregs, ready) = (&self.pes, &self.pregs, &mut self.wakeup.ready);
+        self.wakeup.waiters.take(preg, |r| {
+            let Some(s) = live_slot(pes, r) else { return }; // stale: squashed or replaced
+            if s.state != SlotState::Waiting {
+                return; // re-enqueued on its next transition into Waiting
             }
-            if p.slots[slot].state != SlotState::Waiting {
-                continue; // re-enqueued on its next transition into Waiting
-            }
-            if p.slots[slot].srcs.iter().flatten().all(|&q| self.pregs.get(q).ready) {
-                self.wakeup.ready[pe] |= 1 << slot;
+            if s.srcs.iter().flatten().all(|&q| pregs.get(q).ready) {
+                ready[r.0] |= 1 << r.2;
             }
             // else: still subscribed to the remaining unproduced source(s).
-        }
+        });
     }
 
     /// Schedules the completion event for a slot that just entered
@@ -1141,16 +1117,12 @@ impl<'p> TraceProcessor<'p> {
     /// Indexes a load that sampled memory at `addr` so store/undo snoops
     /// can find it without rescanning the window (invariant 4).
     fn note_load_sampled(&mut self, pe: usize, slot: usize, addr: Addr) {
-        let gen = self.pes[pe].gen;
-        let bucket = self.wakeup.loads_by_word.entry(addr >> 3).or_default();
+        let word = addr >> 3;
         // A reissued load may sample the same word twice under one
         // generation; keep at most one entry so a snoop reissues (and
         // counts) it exactly once.
-        let before = bucket.len();
-        bucket.retain(|&(p, _, s)| !(p == pe && s == slot));
-        self.load_count -= before - bucket.len();
-        bucket.push((pe, gen, slot));
-        self.load_count += 1;
+        self.wakeup.loads.filter(word, |&(p, _, s)| !(p == pe && s == slot));
+        self.wakeup.loads.push(word, (pe, self.pes[pe].gen, slot));
     }
 
     /// Clears the per-PE ready bits when the PE's slots are discarded
@@ -1174,66 +1146,32 @@ impl<'p> TraceProcessor<'p> {
         self.result_bus_queue.push_back(req);
     }
 
-    /// Sweeps stale wait-list subscriptions: entries whose generation died
-    /// (squash/replace), whose slot left `Waiting`, or whose slot no
-    /// longer reads the key register. Exactly the entries
-    /// [`Self::wake_waiters`] would drop on sight, so dropping them early
-    /// never changes behaviour — the invariant only requires live
-    /// `Waiting` slots to stay subscribed to their unproduced sources,
-    /// and those entries are kept.
-    fn gc_waiters(&mut self) {
-        let pes = &self.pes;
-        self.wakeup.waiters.retain(|&preg, entries| {
-            entries.retain(|&(pe, gen, slot)| {
-                let p = &pes[pe];
-                p.occupied
-                    && p.gen == gen
-                    && slot < p.slots.len()
-                    && p.slots[slot].state == SlotState::Waiting
-                    && p.slots[slot].srcs.iter().flatten().any(|&q| q == preg)
-            });
-            !entries.is_empty()
+    /// Amortized collection of the three subscription indices; each sweeps
+    /// only once its live count passes its threshold. Every keep predicate
+    /// drops exactly the entries its index's users would skip on sight
+    /// anyway, so sweeping is behaviour-invisible:
+    ///
+    /// - wait lists lose entries whose generation died (squash/replace),
+    ///   whose slot left `Waiting`, or whose slot no longer reads the key
+    ///   register (the invariant only requires live `Waiting` slots to stay
+    ///   subscribed to their unproduced sources, and those are kept);
+    /// - reader lists mirror the keep condition of
+    ///   [`Self::propagate_value_change`];
+    /// - the load registry loses dead generations and loads whose reissue
+    ///   moved them to another word.
+    fn sweep_subscriptions(&mut self) {
+        let (pes, list) = (&self.pes, &self.list);
+        self.wakeup.waiters.maybe_sweep(|preg, &r| {
+            live_slot(pes, r)
+                .is_some_and(|s| s.state == SlotState::Waiting && s.srcs.contains(&Some(preg)))
         });
-        self.waiter_count = self.wakeup.waiters.values().map(Vec::len).sum();
-        self.waiters_gc_at = GC_FLOOR.max(self.waiter_count * 2);
-    }
-
-    /// Sweeps stale reader registrations, mirroring the keep condition of
-    /// [`Self::propagate_value_change`].
-    fn gc_readers(&mut self) {
-        let pes = &self.pes;
-        self.readers.retain(|&preg, entries| {
-            entries.retain(|&(pe, gen, slot)| {
-                let p = &pes[pe];
-                p.occupied
-                    && p.gen == gen
-                    && slot < p.slots.len()
-                    && p.slots[slot].srcs.iter().flatten().any(|&q| q == preg)
-            });
-            !entries.is_empty()
+        self.readers.maybe_sweep(|preg, &r| {
+            live_slot(pes, r).is_some_and(|s| s.srcs.contains(&Some(preg)))
         });
-        self.reader_count = self.readers.values().map(Vec::len).sum();
-        self.readers_gc_at = GC_FLOOR.max(self.reader_count * 2);
-    }
-
-    /// Sweeps stale load-registry entries (dead generations and loads
-    /// whose reissue moved them to another word).
-    fn gc_loads(&mut self) {
-        let pes = &self.pes;
-        let list = &self.list;
-        self.wakeup.loads_by_word.retain(|&word, entries| {
-            entries.retain(|&(pe, gen, slot)| {
-                let p = &pes[pe];
-                p.occupied
-                    && p.gen == gen
-                    && slot < p.slots.len()
-                    && list.contains(pe)
-                    && p.slots[slot].mem_addr.is_some_and(|a| a >> 3 == word)
-            });
-            !entries.is_empty()
+        self.wakeup.loads.maybe_sweep(|word, &r| {
+            list.contains(r.0)
+                && live_slot(pes, r).is_some_and(|s| s.mem_addr.is_some_and(|a| a >> 3 == word))
         });
-        self.load_count = self.wakeup.loads_by_word.values().map(Vec::len).sum();
-        self.loads_gc_at = GC_FLOOR.max(self.load_count * 2);
     }
 
     /// Footprint of the wakeup index, for leak diagnostics and tests:
@@ -1241,10 +1179,10 @@ impl<'p> TraceProcessor<'p> {
     #[doc(hidden)]
     pub fn index_footprint(&self) -> (usize, usize, usize, usize) {
         (
-            self.wakeup.waiters.values().map(Vec::len).sum(),
             self.wakeup.waiters.len(),
+            self.wakeup.waiters.keys(),
             self.wakeup.completions.len(),
-            self.wakeup.loads_by_word.values().map(Vec::len).sum(),
+            self.wakeup.loads.len(),
         )
     }
 
@@ -1296,10 +1234,7 @@ impl<'p> TraceProcessor<'p> {
                             );
                             for q in unproduced {
                                 assert!(
-                                    self.wakeup
-                                        .waiters
-                                        .get(&q)
-                                        .is_some_and(|w| w.contains(&(pe, gen, i))),
+                                    self.wakeup.waiters.contains(q, (pe, gen, i)),
                                     "cycle {}: pe{pe} slot {i} waits on {q:?} but is not \
                                      subscribed to it",
                                     self.now
@@ -1334,10 +1269,7 @@ impl<'p> TraceProcessor<'p> {
                 if matches!(s.ti.inst, tp_isa::Inst::Load { .. }) {
                     if let Some(a) = s.mem_addr {
                         assert!(
-                            self.wakeup
-                                .loads_by_word
-                                .get(&(a >> 3))
-                                .is_some_and(|w| w.contains(&(pe, gen, i))),
+                            self.wakeup.loads.contains(a >> 3, (pe, gen, i)),
                             "cycle {}: pe{pe} slot {i} sampled word {:#x} but is not in the \
                              load snoop index",
                             self.now,
@@ -1421,6 +1353,17 @@ impl<'p> TraceProcessor<'p> {
             // resolve a stall.)
             None => ExpectedNext::Known(self.retired_next_pc),
         }
+    }
+}
+
+/// The slot a subscription entry names, if that entry is still live: its
+/// PE is occupied under the entry's generation and holds the slot.
+fn live_slot(pes: &[Pe], (pe, gen, slot): SlotRef) -> Option<&crate::pe::Slot> {
+    let p = &pes[pe];
+    if p.occupied && p.gen == gen {
+        p.slots.get(slot)
+    } else {
+        None
     }
 }
 

@@ -190,11 +190,12 @@ impl TraceProcessor<'_> {
             return;
         }
         let map_before = self.current_map;
-        let gen = self.pes[pe].gen;
         let now = ctx.now;
         let trace = self.pes[pe].trace.clone();
-        let mut new_readers: Vec<(PhysRegId, usize)> = Vec::new();
-        let mut requeue: Vec<usize> = Vec::new();
+        let mut new_readers = std::mem::take(&mut self.scratch_rebind);
+        let mut requeue = std::mem::take(&mut self.scratch_slots);
+        new_readers.clear();
+        requeue.clear();
         {
             let slots = &mut self.pes[pe].slots;
             for (i, slot) in slots.iter_mut().enumerate() {
@@ -224,15 +225,16 @@ impl TraceProcessor<'_> {
                 }
             }
         }
-        for (preg, i) in new_readers {
-            self.readers.entry(preg).or_default().push((pe, gen, i));
-            self.reader_count += 1;
+        for &(preg, i) in &new_readers {
+            self.register_reader(preg, pe, i);
         }
         // Selective reissue re-enqueues exactly the re-dispatched consumers
         // whose source names changed — nothing else moved in this PE.
-        for i in requeue {
+        for &i in &requeue {
             self.rebind_reissue_slot(pe, i, now + 1);
         }
+        self.scratch_rebind = new_readers;
+        self.scratch_slots = requeue;
         // Live-outs keep their physical registers; the map is re-asserted.
         self.pes[pe].map_before = map_before;
         let mut map_after = map_before;

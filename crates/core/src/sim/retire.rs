@@ -115,10 +115,11 @@ impl TraceProcessor<'_> {
             return;
         }
         let retired_map = self.retired_map;
-        let gen = self.pes[head].gen;
         let now = ctx.now;
-        let mut rebound: Vec<(PhysRegId, usize)> = Vec::new();
-        let mut requeue: Vec<usize> = Vec::new();
+        let mut rebound = std::mem::take(&mut self.scratch_rebind);
+        let mut requeue = std::mem::take(&mut self.scratch_slots);
+        rebound.clear();
+        requeue.clear();
         {
             let slots = &mut self.pes[head].slots;
             for (i, slot) in slots.iter_mut().enumerate() {
@@ -142,18 +143,20 @@ impl TraceProcessor<'_> {
                 }
             }
         }
-        if rebound.is_empty() {
-            return;
-        }
-        self.stats.head_rebinds += rebound.len() as u64;
-        for (preg, i) in rebound {
-            self.readers.entry(preg).or_default().push((head, gen, i));
-            self.reader_count += 1;
+        let rebinds = rebound.len();
+        self.stats.head_rebinds += rebinds as u64;
+        for &(preg, i) in &rebound {
+            self.register_reader(preg, head, i);
         }
         // Rebound live-ins re-enter the wakeup index (retired registers
         // are always produced, so these become issue candidates at once).
-        for i in requeue {
+        for &i in &requeue {
             self.rebind_reissue_slot(head, i, now + 1);
+        }
+        self.scratch_rebind = rebound;
+        self.scratch_slots = requeue;
+        if rebinds == 0 {
+            return;
         }
         // The map chain after the head starts from its (possibly corrected)
         // map; recompute map_before/map_after so later re-dispatch passes

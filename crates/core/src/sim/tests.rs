@@ -304,10 +304,11 @@ fn wakeup_index_matches_rescan_every_cycle() {
     }
 }
 
-/// The subscription-map entry counters drive the amortized sweeps; if they
-/// drift from the true sizes, collection either thrashes or never fires.
-/// After a run heavy enough to trigger all three sweeps, the counters must
-/// equal a recount.
+/// The subscription indices' live counts drive the amortized sweeps; if
+/// they drift from the true sizes, collection either thrashes or never
+/// fires. After a run heavy enough to trigger all three sweeps, each live
+/// count must equal both its walked chain lengths and its arena nodes off
+/// the free list.
 #[test]
 fn index_footprint_counters_stay_exact() {
     let p = unpredictable_loops_program();
@@ -316,10 +317,10 @@ fn index_footprint_counters_stay_exact() {
         let mut sim = TraceProcessor::new(&p, cfg);
         sim.run(5_000_000).unwrap();
         let (waiters, _, _, loads) = sim.index_footprint();
-        assert_eq!(waiters, sim.waiter_count, "{model:?} waiter count drifted");
-        assert_eq!(loads, sim.load_count, "{model:?} load count drifted");
-        let readers: usize = sim.readers.values().map(Vec::len).sum();
-        assert_eq!(readers, sim.reader_count, "{model:?} reader count drifted");
+        assert_eq!(sim.wakeup.waiters.recount(), (waiters, waiters), "{model:?} waiters drifted");
+        let readers = sim.readers.len();
+        assert_eq!(sim.readers.recount(), (readers, readers), "{model:?} readers drifted");
+        assert_eq!(sim.wakeup.loads.recount(), (loads, loads), "{model:?} loads drifted");
     }
 }
 
@@ -334,9 +335,9 @@ fn gc_sweeps_are_behaviour_invisible() {
     let mut swept = TraceProcessor::new(&p, cfg);
     while !swept.halted() {
         // Force every sweep to run each cycle.
-        swept.waiters_gc_at = 0;
-        swept.readers_gc_at = 0;
-        swept.loads_gc_at = 0;
+        swept.wakeup.waiters.gc_at = 0;
+        swept.readers.gc_at = 0;
+        swept.wakeup.loads.gc_at = 0;
         swept.step_cycle().unwrap();
         swept.assert_event_index_coherent();
     }
