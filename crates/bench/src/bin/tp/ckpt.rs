@@ -20,7 +20,7 @@
 
 use tp_bench::cli::{workload, Args, CellSpec, UsageError, MODEL, OUT, SIZE, WORKLOAD};
 use tp_bench::ffwd::{run_ffwd_bench, speedup_geomean};
-use tp_bench::sampled::{cross_check, run_sampled, SampleConfig};
+use tp_bench::sampled::{cross_check, run_sampled_as, SampleConfig};
 use tp_bench::speed::size_name;
 use tp_bench::sweep::CellConfig;
 use tp_ckpt::{Checkpoint, FastForward};
@@ -297,7 +297,7 @@ fn smoke(out: &str) {
         let full = sim.run(u64::MAX).unwrap_or_else(|e| panic!("{name} long: {e}"));
         assert!(full.halted, "{name} long did not halt");
         let fw = t.elapsed().as_secs_f64();
-        let run = run_sampled(&w.program, &cfg, &SampleConfig::sparse());
+        let run = run_sampled_as(&w.program, w.frontend, &cfg, &SampleConfig::sparse());
         let err = 100.0 * (run.ipc_estimate() - full.stats.ipc()).abs() / full.stats.ipc();
         println!(
             "speedup   : {name:<10} {} instrs: detailed {fw:.1}s, sampled {:.1}s ({:.1}x, \

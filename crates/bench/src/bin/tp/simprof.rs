@@ -26,7 +26,7 @@ use tp_bench::metrics::{
     collect_cell, collect_phases, diff_documents, metrics_to_json, metrics_to_markdown,
     DiffThresholds, PhasePoint,
 };
-use tp_bench::sampled::default_sample_for;
+use tp_bench::sampled::{default_sample_for, Interval};
 use tp_bench::sweep::{run_grid, Cell, CellConfig};
 use tp_bench::tap::{measure_observability_overhead, ObsVariant};
 use tp_workloads::Size;
@@ -82,12 +82,9 @@ pub fn main(mut args: Args) -> Result<(), UsageError> {
         let (cold, steady): (Vec<_>, Vec<_>) =
             p.points.iter().filter(|pt| pt.phase != "ffwd").partition(|pt| pt.phase == "cold");
         let ipc = |pts: &[&PhasePoint]| {
-            let (i, c) = pts.iter().fold((0u64, 0u64), |(i, c), p| (i + p.instrs, c + p.cycles));
-            if c == 0 {
-                0.0
-            } else {
-                i as f64 / c as f64
-            }
+            let (instrs, cycles) =
+                pts.iter().fold((0, 0), |(i, c), p| (i + p.leg.instrs, c + p.leg.cycles));
+            Interval { start_retired: 0, instrs, cycles }.ipc()
         };
         println!(
             "== {} / {} phases: cold ipc {:.3} ({} legs), steady ipc {:.3} ({} legs), \

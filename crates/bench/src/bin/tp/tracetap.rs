@@ -22,7 +22,9 @@
 //!   offset by the cycles of earlier legs plus the instructions skipped
 //!   by the functional legs — and each interval is stamped with an
 //!   instant marker carrying its index and retired-instruction offset.
-//!   `--rounds N` bounds the number of intervals (default 16).
+//!   `--rounds N` bounds the number of rounds (default 16); the printed
+//!   interval count covers measured intervals only, as `baseline
+//!   --sample` counts them.
 //!
 //! The exit status is non-zero if the captured run ended in a simulator
 //! error; the trace document is written either way — capturing the

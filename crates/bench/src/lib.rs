@@ -21,7 +21,7 @@ pub use tp_stats::json;
 pub use ffwd::{ffwd_to_json, run_ffwd_bench, speedup_geomean, FfwdBenchCell};
 pub use profile::{profile_branches, BranchClass, BranchProfile};
 pub use sampled::{
-    cross_check, default_sample_for, run_sampled, sampled_to_json, CrossCheck, Interval,
+    cross_check, default_sample_for, run_sampled_as, sampled_to_json, CrossCheck, Interval,
     SampleConfig, SampledCell, SampledRun,
 };
 pub use tap::{

@@ -30,7 +30,7 @@ use tp_stats::Table;
 use tp_workloads::Size;
 
 use crate::json::Json;
-use crate::sampled::SampleConfig;
+use crate::sampled::{drive_rounds, Interval, RoundObserver, SampleConfig};
 use crate::speed::{size_name, CELL_BUDGET};
 use crate::sweep::{Cell, CellConfig};
 
@@ -114,31 +114,16 @@ pub fn collect_cell(cell: &Cell<'_>) -> MetricsCell {
     }
 }
 
-/// One point of a sampled run's phase series.
+/// One point of a sampled run's phase series; its leg index on the run's
+/// global timeline is its position in [`PhaseReport::points`].
 #[derive(Clone, Copy, Debug)]
 pub struct PhasePoint {
-    /// Leg index on the run's global timeline.
-    pub index: u64,
     /// `"cold"` (first detailed interval), `"steady"` (later detailed
     /// intervals), or `"ffwd"` (functional legs — no cycles).
     pub phase: &'static str,
-    /// Retired-instruction offset at which the leg started.
-    pub start_retired: u64,
-    /// Instructions retired by the leg.
-    pub instrs: u64,
-    /// Cycles the leg took (0 for functional legs).
-    pub cycles: u64,
-}
-
-impl PhasePoint {
-    /// The leg's IPC (0 for functional legs).
-    pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.instrs as f64 / self.cycles as f64
-        }
-    }
+    /// Where the leg started, what it retired and its cycles (0 for
+    /// functional legs).
+    pub leg: Interval,
 }
 
 /// A sampled run's per-phase metrics: the leg series plus one merged
@@ -155,109 +140,62 @@ pub struct PhaseReport {
     pub cold: Metrics,
     /// Merged distributions of every later detailed interval.
     pub steady: Metrics,
-    /// Whether the workload halted.
-    pub halted: bool,
 }
 
-/// Runs `cell` with sampled simulation, attaching a fresh
-/// metrics sink to every detailed interval (after its warmup leg, so the
-/// distributions cover measured work only) and merging the results by
-/// phase.
+/// Runs `cell` with sampled simulation ([`crate::sampled::drive_rounds`],
+/// so the series measures the exact legs `run_sampled_as` would),
+/// attaching a fresh metrics sink to every detailed interval (after its
+/// warmup leg, so the distributions cover measured work only) and merging
+/// the results by phase.
 ///
 /// # Panics
 ///
 /// Panics if the simulator deadlocks or a checkpoint fails to
 /// round-trip — bugs, not results.
 pub fn collect_phases(cell: &Cell<'_>, sample: &SampleConfig) -> PhaseReport {
-    use tp_ckpt::{Checkpoint, FastForward};
-    use tp_isa::func::MachineState;
-
     let w = cell.workload;
-    let cfg = cell.tp_config();
-    let ipdom = ipdom_map(&w.program);
-    let mut ff = FastForward::new(&w.program, &cfg);
-    ff.set_frontend(w.frontend);
-    let mut points = Vec::new();
-    let mut cold = Metrics::default();
-    let mut steady = Metrics::default();
-    let mut halted = false;
-    let mut round = 0u64;
-    let mut index = 0u64;
-    while !halted && !ff.halted() {
-        let ckpt = Checkpoint::decode(&ff.checkpoint().encode())
-            .unwrap_or_else(|e| panic!("{}: checkpoint round-trip failed: {e}", w.name));
-        let boot = ckpt
-            .boot_image(&w.program, &cfg)
-            .unwrap_or_else(|e| panic!("{}: checkpoint boot failed: {e}", w.name));
-        let mut sim = TraceProcessor::from_checkpoint(&w.program, cfg.clone(), boot)
-            .unwrap_or_else(|e| panic!("{}: boot rejected: {e}", w.name));
-        let this_warmup = if round == 0 { 0 } else { sample.warmup };
-        sim.run_interval(this_warmup).unwrap_or_else(|e| panic!("{} warmup: {e}", w.name));
-        let (w_instrs, w_cycles) = (sim.stats().retired_instrs, sim.stats().cycles);
+    let mut phases = Phases {
+        ipdom: ipdom_map(&w.program),
+        report: PhaseReport {
+            workload: w.name,
+            config: cell.config,
+            points: Vec::new(),
+            cold: Metrics::default(),
+            steady: Metrics::default(),
+        },
+    };
+    drive_rounds(&w.program, w.frontend, &cell.tp_config(), sample, u64::MAX, &mut phases);
+    phases.report
+}
+
+/// The observer [`collect_phases`] puts on the driver.
+struct Phases {
+    ipdom: HashMap<u32, u32>,
+    report: PhaseReport,
+}
+
+impl RoundObserver for Phases {
+    fn warmed(&mut self, sim: &mut TraceProcessor<'_>) {
         // Attach after warmup: warmup events are pipeline-priming noise.
-        sim.attach_event_sink(Box::new(MetricsSink::new().with_ipdom(ipdom.clone())));
-        let r = sim.run_interval(sample.interval).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        halted = r.halted;
-        let instrs = r.stats.retired_instrs - w_instrs;
-        let cycles = r.stats.cycles - w_cycles;
-        let (pc, retired_delta) = sim.retired_frontier();
-        let regs = sim.arch_state().regs;
-        let state = MachineState {
-            regs,
-            mem: sim.committed_mem_words().into_iter().collect(),
-            pc,
-            halted,
-            retired: ckpt.retired + retired_delta,
-        };
-        // Release before teardown so drained close events reach the sink.
-        let mut bus = sim.release_event_bus();
-        let sink = bus.take::<MetricsSink>().expect("metrics sink attached above");
-        if instrs > 0 {
-            points.push(PhasePoint {
-                index,
-                phase: if round == 0 { "cold" } else { "steady" },
-                start_retired: ckpt.retired + w_instrs,
-                instrs,
-                cycles,
-            });
-            index += 1;
-            if round == 0 {
-                cold.merge(sink.metrics());
-            } else {
-                steady.merge(sink.metrics());
-            }
-        }
-        let warm = sim.into_warm();
-        ff.adopt(state, warm);
-        round += 1;
-        if halted {
-            break;
-        }
-        // Same deterministic jitter as the sampled runner, so the phase
-        // series measures the exact legs `run_sampled` would.
-        let jittered = if sample.skip == 0 {
-            0
-        } else {
-            let h = round.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 33;
-            sample.skip / 2 + h % sample.skip
-        };
-        let before = ff.retired();
-        let s = ff
-            .skip(jittered)
-            .unwrap_or_else(|e| panic!("{}: fast-forward left the program: {e}", w.name));
-        halted = s.halted;
-        if ff.retired() > before {
-            points.push(PhasePoint {
-                index,
-                phase: "ffwd",
-                start_retired: before,
-                instrs: ff.retired() - before,
-                cycles: 0,
-            });
-            index += 1;
-        }
+        sim.attach_event_sink(Box::new(MetricsSink::new().with_ipdom(self.ipdom.clone())));
     }
-    PhaseReport { workload: w.name, config: cell.config, points, cold, steady, halted: true }
+
+    fn measured(&mut self, round: u64, leg: Option<Interval>, sim: &mut TraceProcessor<'_>) {
+        // Release before teardown so drained close events reach the sink.
+        let sink = sim.release_event_bus().take::<MetricsSink>().expect("attached after warmup");
+        let Some(leg) = leg else { return };
+        let (phase, merged) = match round {
+            0 => ("cold", &mut self.report.cold),
+            _ => ("steady", &mut self.report.steady),
+        };
+        merged.merge(sink.metrics());
+        self.report.points.push(PhasePoint { phase, leg });
+    }
+
+    fn skipped(&mut self, start: u64, instrs: u64) {
+        let leg = Interval { start_retired: start, instrs, cycles: 0 };
+        self.report.points.push(PhasePoint { phase: "ffwd", leg });
+    }
 }
 
 /// A collection grid (and optional phase reports) as the
@@ -277,13 +215,13 @@ pub fn metrics_to_json(cells: &[MetricsCell], size: Size, phases: &[PhaseReport]
         ])
     });
     let phase_rows = phases.iter().map(|p| {
-        let points = p.points.iter().map(|pt| {
+        let points = p.points.iter().enumerate().map(|(index, pt)| {
             Json::obj([
-                ("index", pt.index.into()),
+                ("index", index.into()),
                 ("phase", pt.phase.into()),
-                ("start_retired", pt.start_retired.into()),
-                ("instrs", pt.instrs.into()),
-                ("cycles", pt.cycles.into()),
+                ("start_retired", pt.leg.start_retired.into()),
+                ("instrs", pt.leg.instrs.into()),
+                ("cycles", pt.leg.cycles.into()),
             ])
         });
         Json::obj([
@@ -323,17 +261,17 @@ pub fn metrics_to_markdown(cells: &[MetricsCell], phases: &[PhaseReport]) -> Str
         s.push_str(&c.profiler.table().to_markdown());
     }
     for p in phases {
-        let detailed = p.points.iter().filter(|pt| pt.phase != "ffwd");
+        let detailed = p.points.iter().enumerate().filter(|(_, pt)| pt.phase != "ffwd");
         let mut t = Table::new("leg", &["phase", "start_retired", "instrs", "cycles", "ipc"]);
-        for pt in detailed {
+        for (index, pt) in detailed {
             t.row_text(
-                format!("{}", pt.index),
+                format!("{index}"),
                 &[
                     pt.phase.to_string(),
-                    pt.start_retired.to_string(),
-                    pt.instrs.to_string(),
-                    pt.cycles.to_string(),
-                    format!("{:.3}", pt.ipc()),
+                    pt.leg.start_retired.to_string(),
+                    pt.leg.instrs.to_string(),
+                    pt.leg.cycles.to_string(),
+                    format!("{:.3}", pt.leg.ipc()),
                 ],
             );
         }
@@ -655,13 +593,12 @@ mod tests {
         let w = by_name("compress", Size::Tiny).unwrap();
         let sample = SampleConfig { warmup: 300, interval: 2_000, skip: 4_000 };
         let p = collect_phases(&cell(&w, CiModel::MlbRet), &sample);
-        assert!(p.halted);
         assert_eq!(p.points[0].phase, "cold");
         assert!(p.points.iter().any(|pt| pt.phase == "ffwd"));
         assert!(!p.cold.trace_residency.is_empty());
         // Points are ordered on the global retired-instruction timeline.
         for pair in p.points.windows(2) {
-            assert!(pair[0].start_retired <= pair[1].start_retired);
+            assert!(pair[0].leg.start_retired <= pair[1].leg.start_retired);
         }
     }
 

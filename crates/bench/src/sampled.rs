@@ -64,9 +64,19 @@ impl SampleConfig {
         SampleConfig { warmup: 1_500, interval: 12_000, skip: 100_000 }
     }
 
-    /// The per-round detailed footprint.
-    pub fn detailed_per_round(&self) -> u64 {
-        self.warmup + self.interval
+    /// The length of the functional leg after round `round` (counted
+    /// from 1): stratified deterministically around the configured mean,
+    /// uniform in `[skip/2, 3*skip/2)`. Fixed-period systematic sampling
+    /// can alias with a workload's phase structure and measure the same
+    /// phase every round, which shows up as a large bias with a
+    /// deceptively small confidence interval. Jitter breaks the lock-step
+    /// while keeping runs reproducible.
+    pub fn jittered_skip(&self, round: u64) -> u64 {
+        if self.skip == 0 {
+            return 0;
+        }
+        let h = round.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 33;
+        self.skip / 2 + h % self.skip
     }
 }
 
@@ -106,8 +116,6 @@ pub struct SampledRun {
     pub warmup_instrs: u64,
     /// Instructions covered by functional fast-forward.
     pub ffwd_instrs: u64,
-    /// Whether the program halted (it always should).
-    pub halted: bool,
     /// Host wall-clock seconds for the whole sampled run.
     pub wall_seconds: f64,
     /// Host wall-clock seconds spent inside the functional fast-forward
@@ -203,46 +211,93 @@ impl SampledRun {
     }
 }
 
-/// Runs `program` sampled under `cfg`.
+/// Runs `program` sampled under `cfg`, recording `frontend` in every
+/// internal checkpoint the run round-trips through (rv workloads pass
+/// [`Frontend::Rv64`]).
 ///
 /// # Panics
 ///
 /// Panics if the simulator deadlocks, a checkpoint fails to round-trip,
 /// or the committed path leaves the program image — all bugs, not
 /// results.
-pub fn run_sampled(
-    program: &Program,
-    cfg: &TraceProcessorConfig,
-    sample: &SampleConfig,
-) -> SampledRun {
-    run_sampled_as(program, Frontend::Synth, cfg, sample)
-}
-
-/// [`run_sampled`] with an explicit frontend kind, recorded in every
-/// internal checkpoint the run round-trips through (rv workloads pass
-/// [`Frontend::Rv64`]).
-///
-/// # Panics
-///
-/// As [`run_sampled`].
 pub fn run_sampled_as(
     program: &Program,
     frontend: Frontend,
     cfg: &TraceProcessorConfig,
     sample: &SampleConfig,
 ) -> SampledRun {
-    let name = program.name().to_string();
+    let mut ledger = Ledger::default();
+    let (mut run, _) = drive_rounds(program, frontend, cfg, sample, u64::MAX, &mut ledger);
+    run.attribution = ledger.merged;
+    run
+}
+
+/// The observer [`run_sampled_as`] puts on the driver: merges each
+/// measured interval's share of the simulator's attribution ledger.
+#[derive(Default)]
+struct Ledger {
+    at_warm: RecoveryAttribution,
+    merged: RecoveryAttribution,
+}
+
+impl RoundObserver for Ledger {
+    fn warmed(&mut self, sim: &mut TraceProcessor<'_>) {
+        // The simulator's ledger is cumulative since boot; snapshot it so
+        // the merged attribution covers the measured interval only, not
+        // the discarded warmup leg.
+        self.at_warm = sim.attribution().clone();
+    }
+
+    fn measured(&mut self, _round: u64, leg: Option<Interval>, sim: &mut TraceProcessor<'_>) {
+        if leg.is_some() {
+            self.merged.merge(&sim.attribution().since(&self.at_warm));
+        }
+    }
+}
+
+/// What a caller of [`drive_rounds`] sees of a sampled run: the points
+/// where `run_sampled_as`, `tap::capture_sampled` and
+/// `metrics::collect_phases` differ. Every method defaults to nothing.
+pub(crate) trait RoundObserver {
+    /// Round `round` (from 0) booted `sim` from the checkpoint taken at
+    /// retired instruction `retired`; its warmup leg runs next.
+    fn booted(&mut self, _round: u64, _retired: u64, _sim: &mut TraceProcessor<'_>) {}
+
+    /// The warmup leg is done; the measured leg runs next.
+    fn warmed(&mut self, _sim: &mut TraceProcessor<'_>) {}
+
+    /// The measured leg is done — `None` when it retired nothing (the
+    /// warmup reached the halt) — and `sim` is handed back next.
+    fn measured(&mut self, _round: u64, _leg: Option<Interval>, _sim: &mut TraceProcessor<'_>) {}
+
+    /// A functional leg retired `instrs` (> 0) instructions from `start`.
+    fn skipped(&mut self, _start: u64, _instrs: u64) {}
+}
+
+/// The one sampled-round loop: runs at most `max_rounds` rounds of
+/// `sample` over `program` and reports every leg to `obs`. Returns the run,
+/// its attribution ledger left empty for an observer to fill, and whether
+/// the program halted (`false` only when the round budget ran out).
+///
+/// # Panics
+///
+/// As [`run_sampled_as`].
+pub(crate) fn drive_rounds(
+    program: &Program,
+    frontend: Frontend,
+    cfg: &TraceProcessorConfig,
+    sample: &SampleConfig,
+    max_rounds: u64,
+    obs: &mut impl RoundObserver,
+) -> (SampledRun, bool) {
+    let name = program.name();
     let t = Instant::now();
     let mut ff = FastForward::new(program, cfg);
     ff.set_frontend(frontend);
     let mut intervals = Vec::new();
-    let mut attribution = RecoveryAttribution::new();
-    let mut warmup_instrs = 0;
-    let mut detailed_instrs = 0;
-    let mut halted = false;
+    let (mut warmup_instrs, mut detailed_instrs, mut ffwd_wall) = (0, 0, 0.0f64);
     let mut round = 0u64;
-    let mut ffwd_wall = 0.0f64;
-    while !halted && !ff.halted() {
+    while !ff.halted() && round < max_rounds {
         // Detailed leg, booted through the binary checkpoint format.
         let ckpt = Checkpoint::decode(&ff.checkpoint().encode())
             .unwrap_or_else(|e| panic!("{name}: checkpoint round-trip failed: {e}"));
@@ -251,79 +306,68 @@ pub fn run_sampled_as(
             .unwrap_or_else(|e| panic!("{name}: checkpoint boot failed: {e}"));
         let mut sim = TraceProcessor::from_checkpoint(program, cfg.clone(), boot)
             .unwrap_or_else(|e| panic!("{name}: boot rejected: {e}"));
+        obs.booted(round, ckpt.retired, &mut sim);
         // The first round boots the *initial* state — bit-identical to how
         // a full run starts — so its cold-start cycles are real cost and
         // must be measured, not discarded. Later rounds boot mid-program
         // with an artificially empty pipeline; their warmup absorbs that
         // boot transient.
-        let this_warmup = if round == 0 { 0 } else { sample.warmup };
-        round += 1;
-        sim.run_interval(this_warmup).unwrap_or_else(|e| panic!("{name} warmup: {e}"));
+        let warmup = if round == 0 { 0 } else { sample.warmup };
+        sim.run_interval(warmup).unwrap_or_else(|e| panic!("{name} warmup: {e}"));
         let (w_instrs, w_cycles) = (sim.stats().retired_instrs, sim.stats().cycles);
-        // The simulator's ledger is cumulative since boot; snapshot it so
-        // the merged attribution covers the measured interval only, not
-        // the discarded warmup leg.
-        let w_attr = sim.attribution().clone();
         warmup_instrs += w_instrs;
+        obs.warmed(&mut sim);
         let r = sim.run_interval(sample.interval).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let instrs = r.stats.retired_instrs - w_instrs;
-        let cycles = r.stats.cycles - w_cycles;
-        if instrs > 0 {
-            intervals.push(Interval { start_retired: ckpt.retired + w_instrs, instrs, cycles });
-            attribution.merge(&r.attribution.since(&w_attr));
-            detailed_instrs += instrs;
+        let interval = Interval {
+            start_retired: ckpt.retired + w_instrs,
+            instrs: r.stats.retired_instrs - w_instrs,
+            cycles: r.stats.cycles - w_cycles,
+        };
+        let measured = (interval.instrs > 0).then_some(interval);
+        if let Some(iv) = measured {
+            intervals.push(iv);
+            detailed_instrs += iv.instrs;
         }
-        halted = r.halted;
+        obs.measured(round, measured, &mut sim);
         // Hand the architectural frontier and the interval's trained
         // structures back to the fast-forward engine. Memory must be the
         // *full* committed image, not the normalized `arch_state` view:
         // a store of zero over non-zero initial data is real state a
         // normalized map would lose.
         let (pc, retired_delta) = sim.retired_frontier();
-        let regs = sim.arch_state().regs;
         let state = MachineState {
-            regs,
+            regs: sim.arch_state().regs,
             mem: sim.committed_mem_words().into_iter().collect(),
             pc,
-            halted,
+            halted: r.halted,
             retired: ckpt.retired + retired_delta,
         };
-        let warm = sim.into_warm();
-        ff.adopt(state, warm);
-        if halted {
+        ff.adopt(state, sim.into_warm());
+        round += 1;
+        if r.halted {
             break;
         }
-        // Functional leg. The skip length is stratified deterministically
-        // around the configured mean (uniform in [skip/2, 3*skip/2)):
-        // fixed-period systematic sampling can alias with a workload's
-        // phase structure and measure the same phase every round, which
-        // shows up as a large bias with a deceptively small confidence
-        // interval. Jitter breaks the lock-step while keeping runs
-        // reproducible.
-        let jittered = if sample.skip == 0 {
-            0
-        } else {
-            let h = round.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 33;
-            sample.skip / 2 + h % sample.skip
-        };
+        let before = ff.retired();
         let leg = Instant::now();
-        let s = ff
-            .skip(jittered)
+        ff.skip(sample.jittered_skip(round))
             .unwrap_or_else(|e| panic!("{name}: fast-forward left the program: {e}"));
         ffwd_wall += leg.elapsed().as_secs_f64();
-        halted = s.halted;
+        if ff.retired() > before {
+            obs.skipped(before, ff.retired() - before);
+        }
     }
-    SampledRun {
+    let total_instrs = ff.retired();
+    let run = SampledRun {
         intervals,
-        total_instrs: ff.retired(),
+        total_instrs,
         detailed_instrs,
         warmup_instrs,
-        ffwd_instrs: ff.retired() - detailed_instrs - warmup_instrs,
-        halted: true,
+        ffwd_instrs: total_instrs - detailed_instrs - warmup_instrs,
         wall_seconds: t.elapsed().as_secs_f64(),
         ffwd_wall_seconds: ffwd_wall,
-        attribution,
-    }
+        attribution: RecoveryAttribution::new(),
+    };
+    (run, ff.halted())
 }
 
 /// The sampling regime conventionally paired with a suite size: sparse
@@ -350,7 +394,7 @@ pub struct SampledCell {
 ///
 /// # Panics
 ///
-/// As [`run_sampled`].
+/// As [`run_sampled_as`].
 pub fn run_sampled_cell(cell: &Cell<'_>, sample: &SampleConfig) -> SampledCell {
     let w = cell.workload;
     SampledCell {
@@ -451,7 +495,8 @@ pub fn cross_check(size: Size, models: &[CiModel], sample: &SampleConfig) -> Vec
     // One thread: the comparison reports host wall-clock speedups.
     run_grid(&Cell::grid(&workloads, &configs, &[16]), 1, |cell| {
         let full = run_cell(cell);
-        let sampled = run_sampled(&cell.workload.program, &cell.tp_config(), sample);
+        let w = cell.workload;
+        let sampled = run_sampled_as(&w.program, w.frontend, &cell.tp_config(), sample);
         assert_eq!(
             sampled.total_instrs,
             full.stats.retired_instrs,
@@ -476,14 +521,13 @@ mod tests {
 
     #[test]
     fn sampled_run_covers_the_whole_program() {
-        let w = by_name("compress", Size::Tiny).unwrap().program;
+        let w = by_name("compress", Size::Tiny).unwrap();
         let cfg = TraceProcessorConfig::paper(CiModel::None);
-        let run = run_sampled(&w, &cfg, &SampleConfig::dense());
-        assert!(run.halted);
+        let run = run_sampled_as(&w.program, w.frontend, &cfg, &SampleConfig::dense());
         assert!(!run.intervals.is_empty());
         assert_eq!(run.total_instrs, run.detailed_instrs + run.warmup_instrs + run.ffwd_instrs);
         // Same committed work as a plain functional run.
-        let mut m = tp_isa::func::Machine::new(&w);
+        let mut m = tp_isa::func::Machine::new(&w.program);
         m.run(u64::MAX).unwrap();
         assert_eq!(run.total_instrs, m.retired());
         assert!(run.ipc_estimate() > 0.0);
@@ -492,12 +536,62 @@ mod tests {
 
     #[test]
     fn sampled_runs_are_deterministic() {
-        let w = by_name("li", Size::Tiny).unwrap().program;
+        let w = by_name("li", Size::Tiny).unwrap();
         let cfg = TraceProcessorConfig::paper(CiModel::MlbRet);
-        let a = run_sampled(&w, &cfg, &SampleConfig::dense());
-        let b = run_sampled(&w, &cfg, &SampleConfig::dense());
+        let a = run_sampled_as(&w.program, w.frontend, &cfg, &SampleConfig::dense());
+        let b = run_sampled_as(&w.program, w.frontend, &cfg, &SampleConfig::dense());
         assert_eq!(a.intervals, b.intervals);
         assert_eq!(a.total_instrs, b.total_instrs);
+    }
+
+    /// The three harnesses on the one driver measure the same legs: the
+    /// phase series' detailed points are the run's intervals, its
+    /// functional points cover the fast-forwarded instructions, and an
+    /// unbudgeted capture counts the same intervals over the same program.
+    #[test]
+    fn sampled_harnesses_agree_on_every_leg() {
+        use crate::metrics::{collect_phases, PhasePoint};
+        use crate::tap::capture_sampled;
+
+        let regimes =
+            [SampleConfig::dense(), SampleConfig { warmup: 300, interval: 2_000, skip: 4_000 }];
+        let cells = [
+            ("compress", Size::Tiny),
+            ("gcc", Size::Small),
+            ("jpeg", Size::Small),
+            ("dijkstra", Size::Small),
+        ];
+        for (name, size) in cells {
+            let w = by_name(name, size).unwrap();
+            for model in [CiModel::MlbRet, CiModel::FgMlbRet] {
+                let cell = Cell { workload: &w, config: CellConfig::Model(model), pes: 16 };
+                let cfg = cell.tp_config();
+                for sample in &regimes {
+                    let label = format!("{name} {} {sample:?}", model.name());
+                    let run = run_sampled_as(&w.program, w.frontend, &cfg, sample);
+                    let phases = collect_phases(&cell, sample);
+                    let (ffwd, detailed): (Vec<&PhasePoint>, Vec<_>) =
+                        phases.points.iter().partition(|p| p.phase == "ffwd");
+                    let legs: Vec<Interval> = detailed.iter().map(|p| p.leg).collect();
+                    assert_eq!(legs, run.intervals, "{label}: phase series vs intervals");
+                    let skipped: u64 = ffwd.iter().map(|p| p.leg.instrs).sum();
+                    assert_eq!(skipped, run.ffwd_instrs, "{label}: functional legs");
+                    let cap = capture_sampled(&w.program, w.frontend, &cfg, sample, u64::MAX);
+                    assert!(cap.halted, "{label}");
+                    assert_eq!(
+                        (cap.total_instrs, cap.intervals),
+                        (run.total_instrs, run.intervals.len() as u64),
+                        "{label}: capture vs run"
+                    );
+                }
+            }
+        }
+        // A round budget stops the capture short of the halt.
+        let w = by_name("gcc", Size::Small).unwrap();
+        let cfg = TraceProcessorConfig::paper(CiModel::MlbRet);
+        let cap = capture_sampled(&w.program, w.frontend, &cfg, &SampleConfig::dense(), 2);
+        assert!(!cap.halted);
+        assert_eq!(cap.intervals, 2);
     }
 
     #[test]
@@ -513,7 +607,6 @@ mod tests {
             detailed_instrs: 200,
             warmup_instrs: 50,
             ffwd_instrs: 750,
-            halted: true,
             wall_seconds: 0.1,
             ffwd_wall_seconds: 0.05,
             attribution: RecoveryAttribution::new(),

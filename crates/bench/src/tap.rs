@@ -4,14 +4,12 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use tp_ckpt::{Checkpoint, FastForward};
 use tp_core::{TraceProcessor, TraceProcessorConfig};
 use tp_events::ChromeTraceSink;
-use tp_isa::func::MachineState;
 use tp_isa::{Frontend, Program};
 use tp_stats::Json;
 
-use crate::sampled::SampleConfig;
+use crate::sampled::{drive_rounds, Interval, RoundObserver, SampleConfig};
 
 /// A finished event capture: the Chrome trace document plus the run's
 /// headline numbers.
@@ -68,7 +66,8 @@ pub fn capture_program(program: &Program, cfg: TraceProcessorConfig, budget: u64
 pub struct SampledCapture {
     /// The Chrome trace-event JSON document.
     pub chrome_json: Json,
-    /// Detailed intervals captured.
+    /// Measured intervals captured (a last round whose warmup reaches the
+    /// halt measures nothing and is not one).
     pub intervals: u64,
     /// Total program instructions covered (detailed + fast-forwarded).
     pub total_instrs: u64,
@@ -78,21 +77,19 @@ pub struct SampledCapture {
 
 /// Captures a sampled run's events on one coherent timeline.
 ///
-/// Mirrors the sampled runner's round structure (checkpoint boot →
-/// warmup → measured interval → fast-forward skip), reusing a *single*
-/// [`ChromeTraceSink`] across the detailed intervals: each interval's
-/// simulator restarts at cycle 0, so before re-attaching the sink its
-/// timeline base is advanced past everything already captured and the
-/// interval is stamped with `(interval index, retired-instruction
-/// offset)` on a dedicated `sampling` track. Fast-forward legs appear as
-/// gaps: the base also advances by one cycle per functionally skipped
-/// instruction (an IPC-1 proxy — the legs execute in the functional
-/// model, which has no cycle clock), so interval spacing reflects skip
-/// lengths without pretending cycle accuracy.
+/// Walks the sampled runner's rounds ([`crate::sampled::drive_rounds`]),
+/// reusing a *single* [`ChromeTraceSink`] across the detailed legs: each
+/// round's simulator restarts at cycle 0, so before re-attaching the sink
+/// its timeline base is advanced past everything already captured and the
+/// round is stamped with `(round index, retired-instruction offset)` on a
+/// dedicated `sampling` track. Fast-forward legs appear as gaps: the base
+/// also advances by one cycle per functionally skipped instruction (an
+/// IPC-1 proxy — the legs execute in the functional model, which has no
+/// cycle clock), so interval spacing reflects skip lengths without
+/// pretending cycle accuracy.
 ///
-/// At most `max_rounds` detailed intervals are captured (the trace file
-/// grows with every event; a tap wants the first few intervals, not the
-/// whole run).
+/// At most `max_rounds` rounds run (the trace file grows with every
+/// event; a tap wants the first few intervals, not the whole run).
 ///
 /// # Panics
 ///
@@ -105,67 +102,39 @@ pub fn capture_sampled(
     sample: &SampleConfig,
     max_rounds: u64,
 ) -> SampledCapture {
-    let name = program.name().to_string();
-    let mut ff = FastForward::new(program, cfg);
-    ff.set_frontend(frontend);
-    let mut sink = Box::new(ChromeTraceSink::new());
-    let mut base = 0u64;
-    let mut halted = false;
-    let mut round = 0u64;
-    while !halted && !ff.halted() && round < max_rounds {
-        let ckpt = Checkpoint::decode(&ff.checkpoint().encode())
-            .unwrap_or_else(|e| panic!("{name}: checkpoint round-trip failed: {e}"));
-        let boot = ckpt
-            .boot_image(program, cfg)
-            .unwrap_or_else(|e| panic!("{name}: checkpoint boot failed: {e}"));
-        let mut sim = TraceProcessor::from_checkpoint(program, cfg.clone(), boot)
-            .unwrap_or_else(|e| panic!("{name}: boot rejected: {e}"));
-        sink.set_base(base);
-        sink.mark_interval(round, ckpt.retired);
-        sim.attach_event_sink(sink);
-        let this_warmup = if round == 0 { 0 } else { sample.warmup };
-        round += 1;
-        sim.run_interval(this_warmup).unwrap_or_else(|e| panic!("{name} warmup: {e}"));
-        let r = sim.run_interval(sample.interval).unwrap_or_else(|e| panic!("{name}: {e}"));
-        halted = r.halted;
-        base += sim.now();
-        let mut bus = sim.release_event_bus();
-        sink = bus.take::<ChromeTraceSink>().expect("attached above");
-        let (pc, retired_delta) = sim.retired_frontier();
-        let regs = sim.arch_state().regs;
-        let state = MachineState {
-            regs,
-            mem: sim.committed_mem_words().into_iter().collect(),
-            pc,
-            halted,
-            retired: ckpt.retired + retired_delta,
-        };
-        let warm = sim.into_warm();
-        ff.adopt(state, warm);
-        if halted {
-            break;
-        }
-        // Functional skip, mirroring the sampled runner's deterministic
-        // jitter so the captured intervals line up with a sampled run's.
-        let jittered = if sample.skip == 0 {
-            0
-        } else {
-            let h = round.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 33;
-            sample.skip / 2 + h % sample.skip
-        };
-        let before = ff.retired();
-        let s = ff
-            .skip(jittered)
-            .unwrap_or_else(|e| panic!("{name}: fast-forward left the program: {e}"));
-        halted = s.halted;
-        // Lay the skipped leg out as a visible gap at an IPC-1 proxy.
-        base += ff.retired() - before;
-    }
+    let mut timeline = Timeline { sink: Some(Box::new(ChromeTraceSink::new())), base: 0 };
+    let (run, halted) = drive_rounds(program, frontend, cfg, sample, max_rounds, &mut timeline);
     SampledCapture {
-        chrome_json: sink.into_json(),
-        intervals: round,
-        total_instrs: ff.retired(),
-        halted: halted || ff.halted(),
+        chrome_json: timeline.sink.expect("released after every round").into_json(),
+        intervals: run.intervals.len() as u64,
+        total_instrs: run.total_instrs,
+        halted,
+    }
+}
+
+/// The observer [`capture_sampled`] puts on the driver: the one sink,
+/// detached between rounds, and the global timeline base.
+struct Timeline {
+    sink: Option<Box<ChromeTraceSink>>,
+    base: u64,
+}
+
+impl RoundObserver for Timeline {
+    fn booted(&mut self, round: u64, retired: u64, sim: &mut TraceProcessor<'_>) {
+        let mut sink = self.sink.take().expect("released after every round");
+        sink.set_base(self.base);
+        sink.mark_interval(round, retired);
+        sim.attach_event_sink(sink);
+    }
+
+    fn measured(&mut self, _round: u64, _leg: Option<Interval>, sim: &mut TraceProcessor<'_>) {
+        self.base += sim.now();
+        self.sink = sim.release_event_bus().take::<ChromeTraceSink>();
+    }
+
+    fn skipped(&mut self, _start: u64, instrs: u64) {
+        // Lay the skipped leg out as a visible gap at an IPC-1 proxy.
+        self.base += instrs;
     }
 }
 

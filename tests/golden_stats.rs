@@ -91,13 +91,13 @@ fn oracle_probes_match_golden() {
 /// behaviour of the checkpoint/fast-forward/warm-boot pipeline.
 #[test]
 fn sampled_row_matches_golden() {
-    use tp_bench::sampled::{run_sampled, SampleConfig};
+    use tp_bench::sampled::{run_sampled_as, SampleConfig};
     let w = trace_processor::tp_workloads::by_name("gcc", Size::Tiny).unwrap();
     let cfg = TraceProcessorConfig::paper(CiModel::None);
     // A deliberately small regime so the tiny run exercises several
     // warm-boot rounds and fast-forward legs.
     let sample = SampleConfig { warmup: 100, interval: 400, skip: 200 };
-    let run = run_sampled(&w.program, &cfg, &sample);
+    let run = run_sampled_as(&w.program, w.frontend, &cfg, &sample);
     let mut actual = format!(
         "gcc None sampled total={} detailed={} warmup={} ffwd={} intervals={} est_cycles={:.3} est_ipc={:.6}\n",
         run.total_instrs,

@@ -15,7 +15,7 @@ use trace_processor::tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
 use trace_processor::tp_isa::asm::Asm;
 use trace_processor::tp_isa::func::Machine;
 use trace_processor::tp_isa::synth::{self, SynthConfig};
-use trace_processor::tp_isa::{AluOp, Cond, Program, Reg};
+use trace_processor::tp_isa::{AluOp, Cond, Frontend, Program, Reg};
 use trace_processor::tp_workloads::Size;
 
 fn mem_digest(m: &Machine<'_>) -> u64 {
@@ -167,7 +167,7 @@ fn zero_overwrite_survives_interval_handoff() {
     // Small rounds so the store and the dependent load land in different
     // legs with adopt boundaries between them.
     let sample = SampleConfig { warmup: 30, interval: 100, skip: 80 };
-    let run = tp_bench::sampled::run_sampled(&program, &cfg, &sample);
+    let run = tp_bench::sampled::run_sampled_as(&program, Frontend::Synth, &cfg, &sample);
     assert_eq!(
         run.total_instrs,
         straight.retired(),
